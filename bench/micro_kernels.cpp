@@ -371,8 +371,8 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
   }
   // sketch: width-24 Gaussian sketch of the mode-1 unfolding of a d^3 cube
   // (the randomized engine's factorization kernel; Omega is generated on
-  // the fly, so the byte count is the payload-aware streamed-gemm model
-  // from flops::sketch_bytes, at the active payload word).
+  // the fly, so the byte count is the streamed-gemm model from
+  // flops::sketch_bytes).
   {
     const index_t d = 160, wid = 24;
     tucker::tensor::Tensor<T> x({d, d, d});
@@ -383,9 +383,7 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
         tucker::flops::gaussian_sketch(d, static_cast<std::int64_t>(d) * d,
                                        wid));
     const double bytes = static_cast<double>(tucker::flops::sketch_bytes(
-        d, static_cast<std::int64_t>(d) * d, wid, sizeof(T),
-        tucker::tensor::sketch_payload_word(tucker::tensor::sketch_payload(),
-                                            sizeof(T))));
+        d, static_cast<std::int64_t>(d) * d, wid, sizeof(T)));
     double base = 0;
     for (int w : widths) {
       tucker::parallel::set_max_threads(w);

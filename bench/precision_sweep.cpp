@@ -1,16 +1,12 @@
 // Mixed-precision sweep: one row per (kernel, storage/accumulator config,
 // thread width) over the compute kernels the accumulator knob touches --
-// gemm, syrk (the Gram kernel), the one-sided Jacobi SVD (classic vs
-// pipelined schedule), and the Gaussian sketch (native vs fp16 payload).
+// gemm and syrk (the Gram kernel) -- plus the classic one-sided Jacobi SVD
+// as a serial reference for the small-SVD step.
 //
-// The two acceptance numbers this binary exists to track:
-//   * wide accumulation (fp32 storage, fp64 register tiles) must stay
-//     within ~1.15x of plain-single gemm/syrk time (the `rel` column on
-//     single_wide rows is wide seconds / plain-single seconds);
-//   * the pipelined Jacobi must beat the classic schedule on a tall
-//     512 x 64 panel once >= 2 threads are available (the `rel` column on
-//     jacobi_piped rows is classic seconds / pipelined seconds, i.e. the
-//     speedup).
+// The acceptance number this binary exists to track: wide accumulation
+// (fp32 storage, fp64 register tiles) must stay within ~1.15x of
+// plain-single gemm/syrk time (the `rel` column on single_wide rows is
+// wide seconds / plain-single seconds).
 //
 // --precision-json[=PATH] writes the sweep to BENCH_precision.json;
 // --compare[=PATH] re-runs it and diffs per-row GFLOPS against the
@@ -28,13 +24,9 @@
 
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
-#include "common/flops.hpp"
-#include "common/precision.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "lapack/svd.hpp"
-#include "tensor/sketch.hpp"
-#include "tensor/tensor.hpp"
 
 namespace {
 
@@ -65,18 +57,15 @@ double time_best(F&& fn, int reps) {
 
 struct Row {
   std::string kernel;
-  /// "double" / "single" / "single_wide" / "half_sketch" -- storage plus
-  /// accumulator (or payload) choice.
+  /// "double" / "single" / "single_wide" -- storage plus accumulator
+  /// choice.
   const char* config;
   int word_bytes;  ///< storage word the kernel loads/stores
   int threads;
   double seconds;
   double gflops;
-  /// Config-relative ratio, meaning per kernel family:
-  ///   gemm/syrk/sketch: this config's seconds / the plain-single (native
-  ///     payload) seconds at the same threads -- overhead, lower is better;
-  ///   jacobi_piped: classic-schedule seconds / these seconds at the same
-  ///     config -- speedup over the serial oracle, higher is better.
+  /// This config's seconds / the plain-single seconds at the same threads
+  /// -- overhead, lower is better (1.0 on the jacobi_classic rows).
   double rel;
 };
 
@@ -202,11 +191,11 @@ void sweep_gram_stream(std::vector<Row>& rows) {
 
 // ----------------------------------------------------------- jacobi svd
 
-// The acceptance shape: a tall 512 x 64 panel (the svd_of_l operand after
-// LQ preprocessing of a wide unfolding). Flop count is the rotation work
-// of the sweeps actually taken: k(k-1)/2 pairs per sweep, ~8m flops per
-// pair (one fp dot + two column rotations).
-template <class T, class TA>
+// A tall 512 x 64 panel (the svd_of_l operand after LQ preprocessing of a
+// wide unfolding). Flop count is the rotation work of the sweeps actually
+// taken: k(k-1)/2 pairs per sweep, ~8m flops per pair (one fp dot + two
+// column rotations). The classic schedule is serial: one row per config.
+template <class T>
 void sweep_jacobi_config(std::vector<Row>& rows, const char* config) {
   const index_t m = 512, k = 64;
   auto a0 = rand_mat<double>(m, k, 7);
@@ -214,7 +203,6 @@ void sweep_jacobi_config(std::vector<Row>& rows, const char* config) {
   for (index_t i = 0; i < m; ++i)
     for (index_t j = 0; j < k; ++j) a(i, j) = static_cast<T>(a0(i, j));
 
-  tucker::parallel::set_max_threads(1);
   int sweeps = 0;
   const double classic = time_best(
       [&] {
@@ -226,72 +214,13 @@ void sweep_jacobi_config(std::vector<Row>& rows, const char* config) {
       static_cast<double>(sweeps) * (k * (k - 1) / 2) * 8.0 * m;
   rows.push_back({"jacobi_classic", config, static_cast<int>(sizeof(T)), 1,
                   classic, flops / classic * 1e-9, 1.0});
-  for (int w : {1, 2, 4}) {
-    tucker::parallel::set_max_threads(w);
-    const double piped = time_best(
-        [&] {
-          auto r =
-              tucker::la::jacobi_svd_pipelined<T, TA>(MatView<const T>(a.view()));
-          sweeps = r.sweeps;
-        },
-        3);
-    const double pflops =
-        static_cast<double>(sweeps) * (k * (k - 1) / 2) * 8.0 * m;
-    rows.push_back({"jacobi_piped", config, static_cast<int>(sizeof(T)), w,
-                    piped, pflops / piped * 1e-9, classic / piped});
-  }
-  tucker::parallel::set_max_threads(1);
-}
-
-void sweep_jacobi(std::vector<Row>& rows) {
-  sweep_jacobi_config<double, double>(rows, "double");
-  sweep_jacobi_config<float, float>(rows, "single");
-  sweep_jacobi_config<float, double>(rows, "single_wide");
-}
-
-// --------------------------------------------------------------- sketch
-
-void sweep_sketch(std::vector<Row>& rows) {
-  const index_t d = 128, wid = 24;
-  tucker::tensor::Tensor<float> x({d, d, d});
-  tucker::Rng rng(9);
-  for (index_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal<float>();
-  Matrix<float> s(d, wid);
-  const double flops = static_cast<double>(tucker::flops::gaussian_sketch(
-      d, static_cast<std::int64_t>(d) * d, wid));
-  const auto prev = tucker::tensor::sketch_payload();
-  for (int w : {1, 2, 4}) {
-    tucker::parallel::set_max_threads(w);
-    tucker::tensor::sketch_payload() = tucker::tensor::SketchPayload::kNative;
-    const double nat = time_best(
-        [&] {
-          tucker::tensor::sketch_unfolding_cols(x, 1, 0x5eedULL, 0, wid,
-                                                s.view());
-        },
-        3);
-    tucker::tensor::sketch_payload() = tucker::tensor::SketchPayload::kHalf;
-    const double hlf = time_best(
-        [&] {
-          tucker::tensor::sketch_unfolding_cols(x, 1, 0x5eedULL, 0, wid,
-                                                s.view());
-        },
-        3);
-    rows.push_back(
-        {"sketch", "single", 4, w, nat, flops / nat * 1e-9, 1.0});
-    // word_bytes reports the *payload* width on the half row: the modeled
-    // traffic saving (flops::sketch_bytes), not the tensor word.
-    rows.push_back(
-        {"sketch", "half_sketch", 2, w, hlf, flops / hlf * 1e-9, hlf / nat});
-  }
-  tucker::tensor::sketch_payload() = prev;
-  tucker::parallel::set_max_threads(1);
 }
 
 void run_sweep(std::vector<Row>& rows) {
   sweep_gemm_syrk(rows);
   sweep_gram_stream(rows);
-  sweep_jacobi(rows);
-  sweep_sketch(rows);
+  sweep_jacobi_config<double>(rows, "double");
+  sweep_jacobi_config<float>(rows, "single");
 }
 
 void print_rows(const std::vector<Row>& rows) {

@@ -92,8 +92,8 @@ inline std::int64_t gram_unfolding(std::int64_t m, std::int64_t cols) {
 }
 
 // Byte models with *explicit* word sizes, so call sites stop hardcoding
-// sizeof(T) and mixed-width ops (fp16 sketch payload over fp32 tensors,
-// fp32 words under fp64 flops) price each operand at its own width.
+// sizeof(T) and mixed-width ops (fp32 words under fp64 flops) price each
+// operand at its own width.
 
 /// Minimum traffic of gemm C = A*B (+C): every operand streamed once.
 inline std::int64_t gemm_bytes(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -107,16 +107,14 @@ inline std::int64_t syrk_bytes(std::int64_t m, std::int64_t n,
   return word * (m * n + 2 * m * m);
 }
 
-/// Sketch S = X_(n) * Omega traffic: the unfolding and S move at the
-/// tensor's word size; the width-w test matrix moves at the (possibly
-/// narrower) payload word size. With the counter-based generator Omega is
-/// never actually materialized -- this is the traffic of the equivalent
-/// streamed gemm, which is what the roofline columns and the simmpi word
-/// model price.
+/// Sketch S = X_(n) * Omega traffic: the unfolding, S and the width-w test
+/// matrix all move at the tensor's word size. With the counter-based
+/// generator Omega is never actually materialized -- this is the traffic
+/// of the equivalent streamed gemm, which is what the roofline columns and
+/// the simmpi word model price.
 inline std::int64_t sketch_bytes(std::int64_t m, std::int64_t cols,
-                                 std::int64_t w, std::int64_t tensor_word,
-                                 std::int64_t omega_word) {
-  return tensor_word * (m * cols + 2 * m * w) + omega_word * (cols * w);
+                                 std::int64_t w, std::int64_t word) {
+  return word * (m * cols + 2 * m * w + cols * w);
 }
 
 /// Minimum traffic of a batched-serving response scatter: the fused result

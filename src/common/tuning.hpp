@@ -99,17 +99,6 @@ inline bool accum_wide_default() {
   return v;
 }
 
-/// Default sketch payload (TUCKER_SKETCH_HALF): 1 quantizes every Gaussian
-/// sketch draw through fp16 storage before it enters the accumulation
-/// (tensor/sketch.hpp), halving the modeled sketch-word traffic. The
-/// quantizer is a pure elementwise function of the counter-based draw, so
-/// thread/grid invariance of the sketch is preserved. Runtime-mutable via
-/// tensor::sketch_payload() for tests.
-inline bool sketch_half_default() {
-  static const bool v = detail::env_index("TUCKER_SKETCH_HALF", 0, 0, 1) != 0;
-  return v;
-}
-
 /// Default for the overlapped distributed driver path (TUCKER_OVERLAP,
 /// 0/1). With the default mode window of 1 the overlapped schedule is
 /// bitwise-identical to the blocking one -- only the virtual-clock credit

@@ -167,9 +167,10 @@ struct SthosvdOptions {
   RandSvdOptions rand;
   OverlapOptions overlap;
   /// Accumulator width for the flop-dominant kernels (Gram/sketch gemms,
-  /// truncation TTMs, pipelined-Jacobi rotations). kWide widens fp32 to
-  /// fp64 register accumulators at unchanged storage; for T = double it is
-  /// the identity. Defaults from TUCKER_ACCUM (DESIGN.md Sec 13).
+  /// truncation TTMs). kWide widens fp32 to fp64 register accumulators at
+  /// unchanged storage; for T = double it is the identity. The LQ and the
+  /// small SVD always run at storage precision. Defaults from TUCKER_ACCUM
+  /// (DESIGN.md Sec 13).
   Accum accum = tune::accum_wide_default() ? Accum::kWide : Accum::kNative;
 };
 

@@ -106,131 +106,45 @@ ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
 
 /// Dense solver used for the small SVD of the triangular factor:
 /// Golub-Kahan bidiagonalization with shifted/zero-shift QR (the classical
-/// gesvd-style algorithm the paper calls), one-sided Jacobi with de Rijk
-/// pivoting (simplest, very accurate on this preconditioned input), the
-/// blocked pipelined Jacobi (same mathematics as kJacobi, panel-pair
-/// schedule that runs rotations on the thread pool; the only small-SVD
-/// backend whose rotations honor Accum::kWide), or kAuto (the default):
-/// Golub-Kahan unless an explicit override or a dispatch pin says
-/// otherwise (see resolve_small_svd below). kAuto deliberately does NOT
-/// consult the live thread width: the two backends agree to method
-/// accuracy, not bitwise, so a width-dependent choice would break the
-/// repo-wide guarantee that results are bitwise identical for every
-/// TUCKER_NUM_THREADS.
-enum class SmallSvdBackend { kAuto, kJacobi, kJacobiPipelined, kGolubKahan };
-
-/// How kAuto resolves, runtime-mutable for tests and initialized once from
-/// TUCKER_SMALL_SVD: "gk"/"classic" forces Golub-Kahan everywhere,
-/// "piped"/"pipelined" forces the pipelined Jacobi, anything else (or
-/// unset) keeps the default: Golub-Kahan, unless a SmallSvdDispatchPin is
-/// active (below).
-enum class SmallSvdMode { kAuto, kClassic, kPipelined };
-
-inline SmallSvdMode& small_svd_mode() {
-  static SmallSvdMode mode = [] {
-    if (const char* s = std::getenv("TUCKER_SMALL_SVD")) {
-      const std::string_view v(s);
-      if (v == "gk" || v == "classic" || v == "golub-kahan")
-        return SmallSvdMode::kClassic;
-      if (v == "piped" || v == "pipelined" || v == "jacobi-pipelined")
-        return SmallSvdMode::kPipelined;
-    }
-    return SmallSvdMode::kAuto;
-  }();
-  return mode;
-}
-
-/// RAII thread-local pin for the width the kAuto choice consults: pinned
-/// width >= 2 picks the pipelined Jacobi, pinned width 1 the classic
-/// path. Without a pin kAuto never looks at thread width at all (it would
-/// make compress_file bits depend on TUCKER_NUM_THREADS) and stays on
-/// Golub-Kahan. The serving workers pin the *global* pool width -- a
-/// per-process constant -- so the dispatch, and therefore the response
-/// bits, never depends on how many workers share the pool or on the
-/// ThreadWidthCap each worker runs under.
-class SmallSvdDispatchPin {
- public:
-  explicit SmallSvdDispatchPin(index_t width) : saved_(pinned()) {
-    pinned() = width;
-  }
-  ~SmallSvdDispatchPin() { pinned() = saved_; }
-  SmallSvdDispatchPin(const SmallSvdDispatchPin&) = delete;
-  SmallSvdDispatchPin& operator=(const SmallSvdDispatchPin&) = delete;
-
-  /// 0 = unpinned (kAuto stays on the classic backend).
-  static index_t& pinned() {
-    static thread_local index_t width = 0;
-    return width;
-  }
-
- private:
-  index_t saved_;
-};
-
-/// Resolves kAuto to a concrete backend; every other value passes through.
-inline SmallSvdBackend resolve_small_svd(SmallSvdBackend backend) {
-  if (backend != SmallSvdBackend::kAuto) return backend;
-  switch (small_svd_mode()) {
-    case SmallSvdMode::kClassic:
-      return SmallSvdBackend::kGolubKahan;
-    case SmallSvdMode::kPipelined:
-      return SmallSvdBackend::kJacobiPipelined;
-    case SmallSvdMode::kAuto:
-      break;
-  }
-  const index_t pinned = SmallSvdDispatchPin::pinned();
-  return pinned >= 2 ? SmallSvdBackend::kJacobiPipelined
-                     : SmallSvdBackend::kGolubKahan;
-}
+/// gesvd-style algorithm the paper calls; the default, also spelled kAuto)
+/// or one-sided Jacobi with de Rijk pivoting (simplest, very accurate on
+/// this preconditioned input; the stream driver's rank-deficient trailing
+/// triangle and the test oracle). Short-fat or empty input always takes
+/// Jacobi. Nothing here consults the thread width, so results are bitwise
+/// identical at every TUCKER_NUM_THREADS.
+enum class SmallSvdBackend { kJacobi, kGolubKahan, kAuto = kGolubKahan };
 
 /// Small SVD of an LQ triangle: the shared back half of qr_svd and the
 /// streaming engine (both must take the identical code path so a
-/// single-chunk stream is bitwise equal to the in-memory QR-SVD). `accum`
-/// reaches only the pipelined Jacobi backend: the Golub-Kahan and classic
-/// Jacobi solvers are native-precision reference paths by design.
+/// single-chunk stream is bitwise equal to the in-memory QR-SVD). Both
+/// solvers run at storage precision; the trailing Accum parameter is
+/// ignored.
 template <class T>
 ModeSvd<T> svd_of_l(blas::Matrix<T> l, SmallSvdBackend backend,
-                    Accum accum = Accum::kNative) {
-  backend = resolve_small_svd(backend);
+                    Accum = Accum::kNative) {
   ModeSvd<T> out;
   auto take = [&](auto svd) {
     out.sigma_sq.reserve(svd.sigma.size());
     for (T s : svd.sigma) out.sigma_sq.push_back(s * s);
     out.u = std::move(svd.u);
   };
-  switch (backend) {
-    case SmallSvdBackend::kAuto:  // resolved above; land on plain Jacobi
-      break;
-    case SmallSvdBackend::kGolubKahan:
-      if (l.rows() >= l.cols() && l.cols() >= 1) {
-        take(la::bidiag_svd(blas::MatView<const T>(l.view())));
-        return out;
-      }
-      break;  // short-fat or empty: fall through to Jacobi below
-    case SmallSvdBackend::kJacobiPipelined:
-      if (accum == Accum::kWide) {
-        take(la::jacobi_svd_pipelined<T, wide_t<T>>(
-            blas::MatView<const T>(l.view())));
-      } else {
-        take(la::jacobi_svd_pipelined(blas::MatView<const T>(l.view())));
-      }
-      return out;
-    case SmallSvdBackend::kJacobi:
-      break;
+  if (backend == SmallSvdBackend::kGolubKahan && l.rows() >= l.cols() &&
+      l.cols() >= 1) {
+    take(la::bidiag_svd(blas::MatView<const T>(l.view())));
+  } else {
+    take(la::jacobi_svd(blas::MatView<const T>(l.view())));
   }
-  take(la::jacobi_svd(blas::MatView<const T>(l.view())));
   return out;
 }
 
 /// SVD of the mode-n unfolding via LQ preprocessing (paper Alg 2 + SVD of
-/// the triangular factor, right singular vectors never formed). The LQ
-/// itself is Householder-based and stays at native precision (DESIGN.md
-/// Sec 13); accum reaches the small SVD via svd_of_l.
+/// the triangular factor, right singular vectors never formed). The LQ is
+/// Householder-based and, like the small SVD, runs at storage precision
+/// (DESIGN.md Sec 13).
 template <class T>
 ModeSvd<T> qr_svd(const Tensor<T>& y, std::size_t n,
-                  SmallSvdBackend backend = SmallSvdBackend::kAuto,
-                  Accum accum = Accum::kNative) {
-  return svd_of_l(tensor::tensor_lq(y, n), backend, accum);
+                  SmallSvdBackend backend = SmallSvdBackend::kAuto) {
+  return svd_of_l(tensor::tensor_lq(y, n), backend);
 }
 
 /// Hierarchical streaming QR-SVD (SvdMethod::kStream): the unfolding's LQ
@@ -242,13 +156,11 @@ ModeSvd<T> qr_svd(const Tensor<T>& y, std::size_t n,
 template <class T>
 ModeSvd<T> stream_svd(const Tensor<T>& y, std::size_t n,
                       index_t chunk_slices = 0,
-                      SmallSvdBackend backend = SmallSvdBackend::kAuto,
-                      Accum accum = Accum::kNative) {
+                      SmallSvdBackend backend = SmallSvdBackend::kAuto) {
   if (chunk_slices <= 0)
     chunk_slices =
         stream::chunk_slices_for_budget<T>(y.dims(), tune::stream_chunk_bytes());
-  return svd_of_l(stream::chunked_unfolding_lq(y, n, chunk_slices), backend,
-                  accum);
+  return svd_of_l(stream::chunked_unfolding_lq(y, n, chunk_slices), backend);
 }
 
 /// Knobs of the randomized range finder. Defaults follow the HMT
@@ -409,11 +321,11 @@ ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
     case SvdMethod::kGram:
       return gram_svd(y, n, EvdBackend::kTridiagonalQl, accum);
     case SvdMethod::kQr:
-      return qr_svd(y, n, SmallSvdBackend::kAuto, accum);
+      return qr_svd(y, n);
     case SvdMethod::kRand:
       return rand_svd(y, n, fixed_rank, threshold_sq, ropt, accum);
     case SvdMethod::kStream:
-      return stream_svd(y, n, 0, SmallSvdBackend::kAuto, accum);
+      return stream_svd(y, n);
   }
   TUCKER_CHECK(false, "mode_svd: unknown method");
   return {};

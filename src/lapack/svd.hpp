@@ -27,7 +27,6 @@
 #include "blas/matrix.hpp"
 #include "common/flops.hpp"
 #include "common/precision.hpp"
-#include "common/thread_pool.hpp"
 
 namespace tucker::la {
 
@@ -185,232 +184,6 @@ SvdResult<T> jacobi_svd(blas::MatView<const T> a, int max_sweeps = 30) {
   // replaced by an orthonormal completion.
   const T smax = sig.empty() ? T(0) : sig[static_cast<std::size_t>(perm[0])];
   const T tiny = smax * eps * T(rows) + std::numeric_limits<T>::min();
-  std::vector<bool> fix(static_cast<std::size_t>(k), false);
-  for (index_t j = 0; j < k; ++j) {
-    const index_t src = perm[static_cast<std::size_t>(j)];
-    const T sv = sig[static_cast<std::size_t>(src)];
-    out.sigma[static_cast<std::size_t>(j)] = sv;
-    if (sv <= tiny) {
-      fix[static_cast<std::size_t>(j)] = true;
-      continue;
-    }
-    const T inv = T(1) / sv;
-    const T* col = &w[static_cast<std::size_t>(src * rows)];
-    for (index_t i = 0; i < rows; ++i) out.u(i, j) = col[i] * inv;
-  }
-  detail::complete_basis(out.u, fix);
-  return out;
-}
-
-namespace detail {
-
-/// Column-panel width of the pipelined Jacobi schedule. Eight columns keep
-/// a panel pair's rotation working set (16 columns) cache-resident for the
-/// triangle sizes ST-HOSVD produces while still exposing nb/2 concurrent
-/// pair tasks per round.
-constexpr blas::index_t kJacobiPanel = 8;
-
-}  // namespace detail
-
-/// Blocked one-sided Jacobi with a pipelined round-robin schedule.
-///
-/// Same mathematics as jacobi_svd -- plane rotations orthogonalizing the
-/// columns of a working copy, de Rijk descending-norm pivoting per sweep --
-/// but the pair ordering is blocked so independent work can run on the
-/// thread pool:
-///
-///   per sweep:
-///     (pivot)   serial descending-norm column permutation (de Rijk);
-///     (stage A) intra-panel rotations -- every panel's internal (p, q)
-///               triangle, panels in parallel (disjoint column sets);
-///     (stage B) inter-panel rotations -- circle-method round-robin: nb-1
-///               rounds of floor(nb/2) *disjoint* panel pairs, pairs within
-///               a round in parallel, full p x q cross product per pair;
-///     (stage C) per-task rotation flags OR-reduced serially into the
-///               sweep's convergence test.
-///   post:       exact column norms (wide dot under TA), descending sort,
-///               normalization, orthonormal completion of null columns --
-///               identical to jacobi_svd's post-process.
-///
-/// Determinism: the schedule is a pure function of the matrix shape, and
-/// tasks in one stage touch disjoint columns (and disjoint colsq entries),
-/// so rotation decisions -- not just column bits -- are independent of
-/// execution order. Serial and parallel runs are bitwise identical at any
-/// thread width.
-///
-/// The rotation order differs from jacobi_svd's row-cyclic order, so the
-/// two agree on singular values/vectors only to the method's accuracy, not
-/// bitwise; jacobi_svd remains the oracle for the classic schedule.
-///
-/// TA selects the accumulator width of the dots, rotation coefficients and
-/// column-norm bookkeeping (Accum::kWide maps T=float to TA=double at the
-/// call sites in core/svd_engine.hpp); columns are stored at T, so each
-/// rotated element takes one storage rounding per applied rotation, and
-/// with TA = T the arithmetic per rotation is identical to jacobi_svd's.
-template <class T, class TA = T>
-SvdResult<T> jacobi_svd_pipelined(blas::MatView<const T> a,
-                                  int max_sweeps = 30) {
-  using blas::index_t;
-  TUCKER_CHECK(a.rows() >= a.cols(),
-               "jacobi_svd_pipelined: pass a tall or square matrix");
-  const index_t k = a.cols();
-  const index_t rows = a.rows();
-
-  std::vector<T> w(static_cast<std::size_t>(rows * k));
-  auto wv = blas::MatView<T>::col_major(w.data(), rows, k);
-  blas::copy(a, wv);
-
-  std::vector<TA> colsq(static_cast<std::size_t>(k));
-  for (index_t j = 0; j < k; ++j) {
-    TA s = TA(0);
-    for (index_t i = 0; i < rows; ++i) {
-      const TA v = static_cast<TA>(wv(i, j));
-      s += v * v;
-    }
-    colsq[static_cast<std::size_t>(j)] = s;
-  }
-
-  // Storage-precision thresholds: the columns live in T, so off-diagonal
-  // mass below T's roundoff is noise no matter how wide the accumulator is.
-  const TA eps = static_cast<TA>(precision<T>::eps);
-  const TA tol = TA(10) * eps;
-  TA s2max = TA(0);
-  for (TA c : colsq) s2max = std::max(s2max, c);
-  const TA noise_floor = s2max * eps * eps;
-
-  // Rotates the (p, q) cross product of [p0,p1) x [q0,q1); overlapping
-  // ranges (stage A) reduce to the upper triangle. Returns whether any
-  // rotation fired. Runs on workers: touches only its own columns/colsq.
-  auto rotate_block = [&](index_t p0, index_t p1, index_t q0,
-                          index_t q1) -> bool {
-    bool rot = false;
-    for (index_t p = p0; p < p1; ++p) {
-      for (index_t q = std::max(q0, p + 1); q < q1; ++q) {
-        const TA app = colsq[static_cast<std::size_t>(p)];
-        const TA aqq = colsq[static_cast<std::size_t>(q)];
-        if (app <= noise_floor && aqq <= noise_floor) continue;
-        T* cp = &w[static_cast<std::size_t>(p * rows)];
-        T* cq = &w[static_cast<std::size_t>(q * rows)];
-        const TA apq = blas::detail::fast_dot<T, TA>(rows, cp, cq);
-        tucker::add_flops(2 * rows);
-        if (std::abs(apq) <= tol * std::sqrt(app * aqq) || apq == TA(0))
-          continue;
-        rot = true;
-        const TA zeta = (aqq - app) / (TA(2) * apq);
-        const TA t = std::copysign(
-            TA(1) / (std::abs(zeta) + std::sqrt(TA(1) + zeta * zeta)), zeta);
-        const TA c = TA(1) / std::sqrt(TA(1) + t * t);
-        const TA s = c * t;
-        for (index_t i = 0; i < rows; ++i) {
-          const TA vp = static_cast<TA>(cp[i]);
-          const TA vq = static_cast<TA>(cq[i]);
-          cp[i] = static_cast<T>(c * vp - s * vq);
-          cq[i] = static_cast<T>(s * vp + c * vq);
-        }
-        tucker::add_flops(6 * rows);
-        colsq[static_cast<std::size_t>(p)] = app - t * apq;
-        colsq[static_cast<std::size_t>(q)] = aqq + t * apq;
-      }
-    }
-    return rot;
-  };
-
-  const index_t nb =
-      (k + detail::kJacobiPanel - 1) / detail::kJacobiPanel;
-  auto plo = [](index_t b) { return b * detail::kJacobiPanel; };
-  auto phi = [&](index_t b) {
-    return std::min(k, (b + 1) * detail::kJacobiPanel);
-  };
-  // Circle-method round-robin over panels (padded to even with a bye).
-  const index_t nbe = nb + (nb % 2);
-
-  int sweep = 0;
-  std::vector<T> swapcol(static_cast<std::size_t>(rows));
-  // Per-task rotation flags (distinct bytes -- not vector<bool> -- so
-  // concurrent tasks write disjoint objects).
-  std::vector<unsigned char> flags;
-  std::vector<std::pair<index_t, index_t>> pairs;
-  for (; sweep < max_sweeps; ++sweep) {
-    for (index_t p = 0; p + 1 < k; ++p) {
-      index_t big = p;
-      for (index_t q = p + 1; q < k; ++q)
-        if (colsq[static_cast<std::size_t>(q)] >
-            colsq[static_cast<std::size_t>(big)])
-          big = q;
-      if (big != p) {
-        std::swap(colsq[static_cast<std::size_t>(p)],
-                  colsq[static_cast<std::size_t>(big)]);
-        T* cp = &w[static_cast<std::size_t>(p * rows)];
-        T* cb = &w[static_cast<std::size_t>(big * rows)];
-        std::copy(cp, cp + rows, swapcol.data());
-        std::copy(cb, cb + rows, cp);
-        std::copy(swapcol.data(), swapcol.data() + rows, cb);
-      }
-    }
-
-    bool rotated = false;
-    const bool par = parallel::this_thread_width() > 1;
-
-    // Stage A: intra-panel triangles, one task per panel.
-    flags.assign(static_cast<std::size_t>(nb), 0);
-    auto stage_a = [&](index_t lo, index_t hi) {
-      for (index_t b = lo; b < hi; ++b)
-        flags[static_cast<std::size_t>(b)] =
-            rotate_block(plo(b), phi(b), plo(b), phi(b)) ? 1 : 0;
-    };
-    if (par && nb >= 2) {
-      parallel::parallel_for(0, nb, 1, stage_a);
-    } else {
-      stage_a(0, nb);
-    }
-    for (unsigned char f : flags) rotated = rotated || (f != 0);
-
-    // Stage B: nbe - 1 rounds of disjoint panel pairs.
-    for (index_t round = 0; round + 1 < nbe; ++round) {
-      pairs.clear();
-      for (index_t i = 0; i < nbe / 2; ++i) {
-        const index_t b1 =
-            i == 0 ? index_t{0} : (round + i - 1) % (nbe - 1) + 1;
-        const index_t b2 = (round + (nbe - 1 - i) - 1) % (nbe - 1) + 1;
-        if (b1 >= nb || b2 >= nb) continue;  // bye panel
-        pairs.emplace_back(std::min(b1, b2), std::max(b1, b2));
-      }
-      const auto np = static_cast<index_t>(pairs.size());
-      flags.assign(pairs.size(), 0);
-      auto stage_b = [&](index_t lo, index_t hi) {
-        for (index_t t = lo; t < hi; ++t) {
-          const auto [bp, bq] = pairs[static_cast<std::size_t>(t)];
-          flags[static_cast<std::size_t>(t)] =
-              rotate_block(plo(bp), phi(bp), plo(bq), phi(bq)) ? 1 : 0;
-        }
-      };
-      if (par && np >= 2) {
-        parallel::parallel_for(0, np, 1, stage_b);
-      } else {
-        stage_b(0, np);
-      }
-      for (unsigned char f : flags) rotated = rotated || (f != 0);
-    }
-    if (!rotated) break;
-  }
-
-  SvdResult<T> out;
-  out.sweeps = sweep;
-  std::vector<T> sig(static_cast<std::size_t>(k));
-  for (index_t j = 0; j < k; ++j)
-    sig[static_cast<std::size_t>(j)] = static_cast<T>(blas::nrm2<T, TA>(
-        rows, &w[static_cast<std::size_t>(j * rows)], index_t{1}));
-  std::vector<index_t> perm(static_cast<std::size_t>(k));
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  std::stable_sort(perm.begin(), perm.end(), [&](index_t x, index_t y) {
-    return sig[static_cast<std::size_t>(x)] > sig[static_cast<std::size_t>(y)];
-  });
-
-  out.sigma.resize(static_cast<std::size_t>(k));
-  out.u = blas::Matrix<T>(rows, k);
-  const T eps_s = precision<T>::eps;
-  const T smax = sig.empty() ? T(0) : sig[static_cast<std::size_t>(perm[0])];
-  const T tiny = smax * eps_s * T(rows) + std::numeric_limits<T>::min();
   std::vector<bool> fix(static_cast<std::size_t>(k), false);
   for (index_t j = 0; j < k; ++j) {
     const index_t src = perm[static_cast<std::size_t>(j)];

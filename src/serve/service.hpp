@@ -8,10 +8,8 @@
 //
 // Each worker is a plain std::thread layered on tucker::parallel:
 //   * width-capped to max_threads()/workers (ThreadWidthCap), so W workers
-//     collectively never oversubscribe the pool;
-//   * SmallSvdDispatchPin'd to max_threads(), so the kAuto small-SVD
-//     dispatch resolves identically whatever the worker count -- response
-//     bits never depend on how the service is sized;
+//     collectively never oversubscribe the pool; the cap changes only how
+//     far each kernel fans out, never its bits;
 //   * owner of its thread-local Workspace arena, reset() (not released)
 //     between requests: after warm-up a steady-state request performs zero
 //     heap allocation inside the kernels, and the high-water mark each
@@ -35,11 +33,12 @@
 // their *marginal* modeled cost and the difference refunded to admission.
 //
 // Determinism contract: every kernel underneath is bitwise-invariant to
-// thread width, workers share no mutable per-request state, and the
-// dispatch pin removes the one width-sensitive policy choice; therefore
-// responses are bitwise identical across worker counts, queue
-// interleavings, and batch compositions (pinned by tests/serve_test.cpp
-// and tests/serve_batch_test.cpp).
+// thread width, no policy choice consults the width, and workers share no
+// mutable per-request state. A served compress therefore runs exactly the
+// offline core::sthosvd code and returns its bits at any pool width and
+// worker count, and responses are bitwise identical across worker counts,
+// queue interleavings, and batch compositions (pinned by
+// tests/serve_test.cpp and tests/serve_batch_test.cpp).
 
 #include <atomic>
 #include <chrono>
@@ -360,12 +359,10 @@ class Service {
   }
 
   void worker_main(int slot) {
-    // Cap so all workers together match the pool; pin the small-SVD
-    // dispatch to the uncapped width so sizing the pool differently can
-    // never flip a backend choice (see svd_engine.hpp).
-    const int full = parallel::max_threads();
-    parallel::ThreadWidthCap cap(std::max(1, full / opt_.workers));
-    core::SmallSvdDispatchPin pin(static_cast<index_t>(full));
+    // Cap so all workers together match the pool. The cap bounds how far
+    // each kernel fans out; results do not depend on it.
+    parallel::ThreadWidthCap cap(
+        std::max(1, parallel::max_threads() / opt_.workers));
     Workspace& arena = Workspace::local();
     const auto wait = std::chrono::microseconds(opt_.batch_wait_us);
     std::vector<std::unique_ptr<Task>> group;

@@ -45,15 +45,6 @@ struct CostModel {
     return static_cast<double>(flops) / rate;
   }
 
-  /// Bytes of one collective payload of `words` words at `bytes_per_word`
-  /// storage -- the hook the sketch/TTM credit tables use to price fp32
-  /// (4-byte) or fp16-payload (2-byte Omega) traffic without touching the
-  /// word-count helpers below.
-  static std::int64_t payload_bytes(std::int64_t words,
-                                    std::int64_t bytes_per_word) {
-    return words * bytes_per_word;
-  }
-
   /// Modeled cost of the runtime's allreduce (binomial reduce + binomial
   /// broadcast, see Comm::allreduce_bytes): 2*ceil(log2 p) rounds, the full
   /// buffer per round. Used by benches to print modeled communication

@@ -27,7 +27,6 @@
 #include "blas/matview.hpp"
 #include "common/precision.hpp"
 #include "common/rng.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "tensor/tensor.hpp"
 
@@ -39,38 +38,6 @@ namespace detail {
 /// panel scratch stays cache-resident.
 constexpr index_t kSketchPanel = 128;
 }  // namespace detail
-
-/// Storage width of the Gaussian test matrix. kHalf rounds every Omega draw
-/// through IEEE binary16 (software conversion, round-to-nearest-even)
-/// before it enters the sketch accumulation, which stays at working (or
-/// wide) precision -- fp16 is a *storage* format here, never an
-/// accumulator. Because the range-finder only needs Omega to span the
-/// row space of the unfolding (HMT), a quantized Gaussian is still a
-/// perfectly good test matrix: the rung of the randomized engine is set by
-/// the working-precision factorization, not by Omega's mantissa. The
-/// quantizer is a pure elementwise function of the counter-based draw, so
-/// every thread count and every simmpi grid sees identical sketch bits,
-/// and the modeled Omega word traffic drops to 2 bytes
-/// (flops::sketch_bytes, simmpi cost model).
-enum class SketchPayload { kNative, kHalf };
-
-/// Active sketch payload. Defaults once from TUCKER_SKETCH_HALF; mutable at
-/// runtime (same idiom as ttm_engine / kernel_variant) so tests and benches
-/// can flip payloads within one binary. Not meant to change mid-sketch.
-inline SketchPayload& sketch_payload() {
-  static SketchPayload p = tune::sketch_half_default() ? SketchPayload::kHalf
-                                                       : SketchPayload::kNative;
-  return p;
-}
-
-/// Bytes per stored Omega word under payload `p`, given the tensor's own
-/// word size (the native payload stores Omega at working precision).
-inline std::int64_t sketch_payload_word(SketchPayload p,
-                                        std::int64_t native_word) {
-  return p == SketchPayload::kHalf
-             ? static_cast<std::int64_t>(precision<half>::bytes_per_word)
-             : native_word;
-}
 
 /// Visits the mode-n unfolding of `t` as a sequence of m x len column
 /// panels, calling f(panel, c0) where c0 is the first *local* unfolding
@@ -119,7 +86,6 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
   blas::fill(s, T(0));
   if (m == 0 || wnew == 0 || t.size() == 0) return;
 
-  const bool half_payload = sketch_payload() == SketchPayload::kHalf;
   Workspace& ws = Workspace::local();
   auto arena = ws.frame();
   auto omega = blas::MatView<T>::row_major(
@@ -132,11 +98,8 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
     for (index_t i = 0; i < len; ++i) {
       const auto c = static_cast<std::uint64_t>(global_col(c0 + i));
       for (index_t j = 0; j < wnew; ++j) {
-        const double draw =
-            hash_normal(stream, c, static_cast<std::uint64_t>(jlo + j));
-        om(i, j) =
-            half_payload ? static_cast<T>(quantize_half(draw))
-                         : static_cast<T>(draw);
+        om(i, j) = static_cast<T>(
+            hash_normal(stream, c, static_cast<std::uint64_t>(jlo + j)));
       }
     }
     if (accum == Accum::kWide) {

@@ -85,6 +85,12 @@ struct VariantGuard {
   ~VariantGuard() { kernel_variant() = saved; }
 };
 
+// Restores the pool width the test found on entry.
+struct ThreadsGuard {
+  int saved = tucker::parallel::max_threads();
+  ~ThreadsGuard() { tucker::parallel::set_max_threads(saved); }
+};
+
 template <class T>
 Matrix<T> rand_mat(index_t m, index_t n, std::uint64_t seed) {
   tucker::Rng rng(seed);
@@ -419,6 +425,7 @@ TEST(WorkspaceTest, StashPersistsAndIsTypeKeyed) {
 
 TEST(ZeroAllocTest, RepeatedTtmIntoDoesNotTouchHeap) {
   using tucker::tensor::Tensor;
+  ThreadsGuard threads;
   tucker::parallel::set_max_threads(1);
   Tensor<double> x({24, 18, 20});
   tucker::Rng rng(31);
@@ -442,6 +449,7 @@ TEST(ZeroAllocTest, RepeatedTtmIntoDoesNotTouchHeap) {
 
 TEST(ZeroAllocTest, SthosvdReusesStashedScratch) {
   using tucker::tensor::Tensor;
+  ThreadsGuard threads;
   tucker::parallel::set_max_threads(1);
   Tensor<double> x({12, 10, 8});
   tucker::Rng rng(33);
@@ -465,9 +473,7 @@ TEST(ZeroAllocTest, SthosvdReusesStashedScratch) {
 TEST(KernelEquivalence, SthosvdBitwiseAcrossVariantsAndThreads) {
   using tucker::tensor::Tensor;
   VariantGuard guard;
-  // Runs on the default kAuto small-SVD dispatch: unpinned kAuto resolves
-  // width-independently (jacobi_pipeline_test pins the resolution), so the
-  // sweep covers the default path end users hit.
+  ThreadsGuard threads;
   Tensor<double> x({16, 14, 12});
   tucker::Rng rng(41);
   for (index_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal<double>();
@@ -503,7 +509,6 @@ TEST(KernelEquivalence, SthosvdBitwiseAcrossVariantsAndThreads) {
             << "factor mismatch: variant=" << static_cast<int>(v)
             << " threads=" << threads << " method=" << static_cast<int>(slot);
       }
-  tucker::parallel::set_max_threads(1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Mixed-precision compute path: software binary16 conversion properties,
-// wide-accumulator (fp32 storage / fp64 register) gemm/syrk/TTM accuracy and
-// bitwise determinism across thread widths and kernel variants, the
-// half-payload sketch, and the word-traffic ledger that prices them.
+// Mixed-precision compute path: wide-accumulator (fp32 storage / fp64
+// register) gemm/syrk/TTM accuracy and bitwise determinism across thread
+// widths and kernel variants, the fp32 sketch, and the word-traffic ledger
+// that prices them.
 
 #include <gtest/gtest.h>
 
@@ -43,13 +43,9 @@ bool bitwise_equal(const tensor::Tensor<T>& a, const tensor::Tensor<T>& b) {
                      sizeof(T) * static_cast<std::size_t>(a.size())) == 0;
 }
 
-struct PayloadGuard {
-  tensor::SketchPayload prev = tensor::sketch_payload();
-  ~PayloadGuard() { tensor::sketch_payload() = prev; }
-};
-
 struct ThreadsGuard {
-  ~ThreadsGuard() { parallel::set_max_threads(1); }
+  int prev = parallel::max_threads();
+  ~ThreadsGuard() { parallel::set_max_threads(prev); }
 };
 
 struct VariantGuard {
@@ -62,66 +58,10 @@ struct EngineGuard {
   ~EngineGuard() { tensor::ttm_engine() = prev; }
 };
 
-// ------------------------------------------------ binary16 conversion
-
-TEST(HalfTest, RoundTripsExactlyRepresentableValues) {
-  for (float v : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, -2.75f, 65504.0f,
-                  6.103515625e-5f /* smallest normal */,
-                  5.9604644775390625e-8f /* smallest subnormal, 2^-24 */}) {
-    EXPECT_EQ(from_half(to_half(v)), v) << v;
-  }
-}
-
-TEST(HalfTest, RoundsToNearestEven) {
-  // Mantissa step at 1.0 is 2^-10; 1 + 2^-11 is exactly halfway and must
-  // round to the even neighbor (1.0), while 1 + 3*2^-11 rounds up.
-  const float ulp = 1.0f / 1024.0f;
-  EXPECT_EQ(to_half(1.0f + 0.5f * ulp).bits, to_half(1.0f).bits);
-  EXPECT_EQ(from_half(to_half(1.0f + 1.5f * ulp)), 1.0f + 2.0f * ulp);
-  // Just below/above the halfway point round to the nearer value.
-  EXPECT_EQ(from_half(to_half(1.0f + 0.49f * ulp)), 1.0f);
-  EXPECT_EQ(from_half(to_half(1.0f + 0.51f * ulp)), 1.0f + ulp);
-  // Carry propagation: rounding up out of the mantissa bumps the exponent.
-  EXPECT_EQ(from_half(to_half(1.9999999f)), 2.0f);
-}
-
-TEST(HalfTest, OverflowAndSpecials) {
-  EXPECT_EQ(to_half(70000.0f).bits, 0x7c00);   // +inf
-  EXPECT_EQ(to_half(-70000.0f).bits, 0xfc00);  // -inf
-  EXPECT_TRUE(std::isinf(from_half(to_half(1e30f))));
-  EXPECT_TRUE(std::isnan(from_half(to_half(std::nanf("")))));
-  // Signed zero survives.
-  EXPECT_EQ(to_half(-0.0f).bits, 0x8000);
-  EXPECT_TRUE(std::signbit(from_half(to_half(-0.0f))));
-}
-
-TEST(HalfTest, SubnormalsAndUnderflow) {
-  const float min_sub = 5.9604644775390625e-8f;  // 2^-24
-  EXPECT_EQ(from_half(to_half(min_sub)), min_sub);
-  // 2^-25 is exactly halfway between 0 and the smallest subnormal: ties to
-  // even -> 0. Anything above it rounds up to the subnormal.
-  EXPECT_EQ(quantize_half(0.5f * min_sub), 0.0f);
-  EXPECT_EQ(quantize_half(0.6f * min_sub), min_sub);
-  // quantize_half(double) quantizes through the same grid.
-  EXPECT_EQ(quantize_half(1.0009765625), 1.0009765625);  // 1 + 2^-10
-}
-
-TEST(HalfTest, QuantizationErrorBounded) {
-  Rng rng(11);
-  const double eps_h = static_cast<double>(precision<half>::eps);
-  const double min_sub = 5.9604644775390625e-8;  // absolute floor
-  for (int i = 0; i < 1000; ++i) {
-    const double d = rng.normal<double>();
-    const double q = quantize_half(d);
-    EXPECT_LE(std::abs(q - d), eps_h * std::abs(d) + min_sub) << d;
-  }
-}
-
-TEST(HalfTest, TraitsReportStorageWidth) {
-  EXPECT_EQ(precision<half>::bytes_per_word, 2u);
-  EXPECT_EQ(tensor::sketch_payload_word(tensor::SketchPayload::kHalf, 4), 2);
-  EXPECT_EQ(tensor::sketch_payload_word(tensor::SketchPayload::kNative, 4),
-            4);
+TEST(WideAccumTest, TraitsReportStorageWidth) {
+  // Word traffic is priced at storage width; only the register tile widens.
+  EXPECT_EQ(precision<float>::bytes_per_word, 4u);
+  EXPECT_EQ(precision<double>::bytes_per_word, 8u);
   static_assert(std::is_same_v<wide_t<float>, double>);
   static_assert(std::is_same_v<wide_t<double>, double>);
 }
@@ -295,18 +235,37 @@ TEST(WideAccumTest, TtmEnginesAgreeBitwiseWithinOneKBlock) {
   }
 }
 
-// ------------------------------------------------- half-payload sketch
+TEST(WideAccumTest, QrAndStreamSvdStayNative) {
+  // The LQ and the small SVD run at storage precision: asking mode_svd for
+  // wide accumulation leaves QR-SVD and Stream bitwise on the native path.
+  auto xf = data::round_tensor_to<float>(
+      data::random_tensor<double>({14, 10, 12}, 31));
+  for (auto method : {core::SvdMethod::kQr, core::SvdMethod::kStream}) {
+    for (std::size_t n = 0; n < xf.order(); ++n) {
+      const auto native =
+          core::mode_svd(xf, n, method, 0, 0.0, {}, Accum::kNative);
+      const auto wide = core::mode_svd(xf, n, method, 0, 0.0, {}, Accum::kWide);
+      ASSERT_EQ(wide.sigma_sq.size(), native.sigma_sq.size());
+      EXPECT_EQ(std::memcmp(wide.sigma_sq.data(), native.sigma_sq.data(),
+                            sizeof(float) * native.sigma_sq.size()),
+                0)
+          << core::method_name(method) << " mode " << n;
+      EXPECT_TRUE(bitwise_equal(wide.u, native.u))
+          << core::method_name(method) << " mode " << n;
+    }
+  }
+}
 
-TEST(HalfSketchTest, DeterministicAcrossThreadWidths) {
+// ------------------------------------------------------- fp32 sketch
+
+TEST(Fp32SketchTest, DeterministicAcrossThreadWidths) {
   ThreadsGuard tg;
-  PayloadGuard pg;
   tensor::Tensor<float> x({20, 12, 14});
   Rng rng(27);
   for (index_t i = 0; i < x.size(); ++i)
     x.data()[i] = static_cast<float>(rng.normal<double>());
   const index_t w = 10;
 
-  tensor::sketch_payload() = tensor::SketchPayload::kHalf;
   Matrix<float> s_ref;
   for (int threads : {1, 2, 7}) {
     parallel::set_max_threads(threads);
@@ -318,11 +277,30 @@ TEST(HalfSketchTest, DeterministicAcrossThreadWidths) {
     }
     EXPECT_TRUE(bitwise_equal(s, s_ref)) << "threads=" << threads;
   }
+}
 
-  // The half payload really is a different Omega (quantized draws), but
-  // only by the fp16 quantization error of each entry: the two sketches
-  // must differ, yet stay within eps_h * sqrt(cols) of each other.
-  tensor::sketch_payload() = tensor::SketchPayload::kNative;
+TEST(Fp32SketchTest, WideAccumDeterministicAcrossThreadWidths) {
+  // The sketch's wide branch: bitwise at every width, and the same Omega as
+  // the native sketch, so the two differ only by fp32 accumulation error.
+  ThreadsGuard tg;
+  tensor::Tensor<float> x({20, 12, 14});
+  Rng rng(29);
+  for (index_t i = 0; i < x.size(); ++i)
+    x.data()[i] = static_cast<float>(rng.normal<double>());
+  const index_t w = 10;
+
+  Matrix<float> s_ref;
+  for (int threads : {1, 2, 7}) {
+    parallel::set_max_threads(threads);
+    Matrix<float> s(x.dim(1), w);
+    tensor::sketch_unfolding_cols(x, 1, 777u, 0, w, s.view(), Accum::kWide);
+    if (s_ref.empty()) {
+      s_ref = std::move(s);
+      continue;
+    }
+    EXPECT_TRUE(bitwise_equal(s, s_ref)) << "threads=" << threads;
+  }
+
   Matrix<float> s_native(x.dim(1), w);
   tensor::sketch_unfolding_cols(x, 1, 777u, 0, w, s_native.view());
   double maxdiff = 0, scale = 0;
@@ -334,16 +312,13 @@ TEST(HalfSketchTest, DeterministicAcrossThreadWidths) {
       scale = std::max(scale, std::abs(static_cast<double>(s_native(i, j))));
     }
   const double cols = static_cast<double>(x.size() / x.dim(1));
-  EXPECT_GT(maxdiff, 0.0);  // the payloads genuinely differ
-  EXPECT_LE(maxdiff, 2 * static_cast<double>(precision<half>::eps) * scale *
+  EXPECT_LE(maxdiff, 2 * static_cast<double>(precision<float>::eps) * scale *
                          std::sqrt(cols));
 }
 
-TEST(HalfSketchTest, RandSvdStaysOnWorkingPrecisionRung) {
-  // The range finder only needs Omega to span the row space: quantizing
-  // Omega through fp16 must not knock the recovered spectrum off the
-  // working-precision rung.
-  PayloadGuard pg;
+TEST(Fp32SketchTest, RandSvdStaysOnWorkingPrecisionRung) {
+  // The fp32 range finder must recover the leading spectrum to within the
+  // working-precision rung of the double truth.
   auto xd = data::tensor_with_spectra(
       {18, 12, 14},
       {data::DecayProfile::geometric(1.0, 1e-4),
@@ -357,19 +332,13 @@ TEST(HalfSketchTest, RandSvdStaysOnWorkingPrecisionRung) {
   opt.power_iters = 2;
 
   const double smax = std::sqrt(truth.sigma_sq[0]);
-  for (auto payload :
-       {tensor::SketchPayload::kNative, tensor::SketchPayload::kHalf}) {
-    tensor::sketch_payload() = payload;
-    auto got = core::rand_svd(xf, 0, r, 0.0, opt);
-    ASSERT_GE(got.sigma_sq.size(), static_cast<std::size_t>(r));
-    for (index_t i = 0; i < r; ++i) {
-      const double want =
-          std::sqrt(truth.sigma_sq[static_cast<std::size_t>(i)]);
-      const double have = std::sqrt(
-          static_cast<double>(got.sigma_sq[static_cast<std::size_t>(i)]));
-      EXPECT_NEAR(have, want, 5e-4 * smax)
-          << "payload=" << static_cast<int>(payload) << " i=" << i;
-    }
+  auto got = core::rand_svd(xf, 0, r, 0.0, opt);
+  ASSERT_GE(got.sigma_sq.size(), static_cast<std::size_t>(r));
+  for (index_t i = 0; i < r; ++i) {
+    const double want = std::sqrt(truth.sigma_sq[static_cast<std::size_t>(i)]);
+    const double have = std::sqrt(
+        static_cast<double>(got.sigma_sq[static_cast<std::size_t>(i)]));
+    EXPECT_NEAR(have, want, 5e-4 * smax) << "i=" << i;
   }
 }
 
@@ -409,15 +378,14 @@ TEST(TrafficTest, WideAccumDoesNotChangeWordTraffic) {
   EXPECT_EQ(native_bytes, wide_bytes);
 }
 
-TEST(TrafficTest, SketchBytesPricesOmegaAtPayloadWidth) {
+TEST(TrafficTest, SketchBytesPricesOmegaAtTensorWidth) {
+  // Omega is generated, never stored or sent; the model prices its reads at
+  // the tensor word like every other operand, so fp32 halves every term.
   const std::int64_t m = 16, cols = 100, w = 8;
-  const auto native =
-      flops::sketch_bytes(m, cols, w, sizeof(float), sizeof(float));
-  const auto half_payload = flops::sketch_bytes(
-      m, cols, w, sizeof(float),
-      tensor::sketch_payload_word(tensor::SketchPayload::kHalf,
-                                  sizeof(float)));
-  EXPECT_EQ(native - half_payload, cols * w * (4 - 2));
+  EXPECT_EQ(flops::sketch_bytes(m, cols, w, sizeof(float)),
+            4 * (m * cols + 2 * m * w + cols * w));
+  EXPECT_EQ(flops::sketch_bytes(m, cols, w, sizeof(float)) * 2,
+            flops::sketch_bytes(m, cols, w, sizeof(double)));
 }
 
 TEST(TrafficTest, WorkerTrafficIsCreditedToSubmitter) {

@@ -43,6 +43,12 @@ Tensor<double> test_cube(index_t n, std::uint64_t seed) {
       seed);
 }
 
+// Restores the pool width the test found on entry.
+struct ThreadsGuard {
+  int saved = tucker::parallel::max_threads();
+  ~ThreadsGuard() { tucker::parallel::set_max_threads(saved); }
+};
+
 template <class T>
 bool bitwise_equal(const tucker::core::ModeSvd<T>& a,
                    const tucker::core::ModeSvd<T>& b) {
@@ -152,6 +158,7 @@ TEST(RandSvdTest, AdaptiveWideningReachesExactRanks) {
 // ----------------------------------------------------------- determinism
 
 TEST(RandSvdTest, BitwiseIdenticalAcrossThreadCounts) {
+  ThreadsGuard guard;
   auto x = test_cube(20, 17);
   tucker::parallel::set_max_threads(1);
   auto ref = tucker::core::rand_svd(x, 0, 5, 0.0);
@@ -160,10 +167,10 @@ TEST(RandSvdTest, BitwiseIdenticalAcrossThreadCounts) {
     auto got = tucker::core::rand_svd(x, 0, 5, 0.0);
     EXPECT_TRUE(bitwise_equal(ref, got)) << "threads " << w;
   }
-  tucker::parallel::set_max_threads(1);
 }
 
 TEST(RandSvdTest, SthosvdBitwiseAcrossThreadCounts) {
+  ThreadsGuard guard;
   auto x = test_cube(18, 19);
   const auto spec = TruncationSpec::tolerance(1e-5);
   tucker::parallel::set_max_threads(1);
@@ -178,7 +185,6 @@ TEST(RandSvdTest, SthosvdBitwiseAcrossThreadCounts) {
               0)
         << "threads " << w;
   }
-  tucker::parallel::set_max_threads(1);
 }
 
 // -------------------------------------------------------------- simmpi

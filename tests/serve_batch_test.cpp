@@ -48,7 +48,8 @@ using tensor::Dims;
 using tensor::Tensor;
 
 struct ThreadsGuard {
-  ~ThreadsGuard() { parallel::set_max_threads(1); }
+  int prev = parallel::max_threads();
+  ~ThreadsGuard() { parallel::set_max_threads(prev); }
 };
 
 template <class T>
@@ -267,6 +268,7 @@ TEST(TtmPackedMulti, BitwiseMatchesSoloAcrossWidths) {
     xs.push_back(data::random_tensor<double>(shapes[i], 0xC0DE + i));
 
   for (Accum accum : {Accum::kNative, Accum::kWide}) {
+    parallel::set_max_threads(1);
     std::vector<Tensor<double>> solo(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i)
       tensor::ttm_prepacked_into(xs[i], 1, pf, solo[i], accum);
@@ -285,7 +287,6 @@ TEST(TtmPackedMulti, BitwiseMatchesSoloAcrossWidths) {
                        "multi vs solo, width " + std::to_string(width) +
                            " item " + std::to_string(i));
     }
-    parallel::set_max_threads(1);
   }
 }
 
@@ -587,8 +588,10 @@ TEST(ServiceBatch, RegionsPricedAtRegionCost) {
 
 // Compress requests carry fusion key 0 and are never fusable: the
 // reconstructions around one still fuse, and the compress runs alone with
-// its full result intact.
+// its full result intact and equal to the offline run, at width 1 and 4.
 TEST(ServiceBatch, CompressNeverFusesWithReconstructs) {
+  ThreadsGuard guard;
+  parallel::set_max_threads(1);
   auto model = make_model({14, 12, 10}, {4, 3, 3}, 0x77);
   const auto ref = model.reconstruct();
   auto x = std::make_shared<Tensor<double>>(
@@ -596,35 +599,39 @@ TEST(ServiceBatch, CompressNeverFusesWithReconstructs) {
   const auto spec = core::TruncationSpec::fixed_ranks({3, 3, 2});
   const auto direct = core::sthosvd(*x, spec, core::SvdMethod::kQr);
 
-  serve::ServeOptions opt;
-  opt.workers = 1;
-  opt.queue_depth = 16;
-  opt.autostart = false;
-  opt.batch_max = 8;
-  serve::Service<double> svc(opt);
-  const auto id = svc.register_model(model);
-  serve::ReconstructRequest<double> good;
-  good.model = id;
-  auto f1 = svc.try_submit(good);
-  serve::CompressRequest<double> creq;
-  creq.x = x;
-  creq.spec = spec;
-  creq.method = core::SvdMethod::kQr;
-  auto fc = svc.try_submit(std::move(creq));
-  auto f2 = svc.try_submit(good);
-  svc.start();
-  svc.drain();
-  EXPECT_EQ(fingerprint(f1->get().tensor), fingerprint(ref));
-  EXPECT_EQ(fingerprint(f2->get().tensor), fingerprint(ref));
-  const auto cres = fc->get().result;
-  expect_bitwise(cres.tucker.core, direct.tucker.core,
-                 "compress inside a batched queue");
-  const auto stats = svc.stats();
-  EXPECT_EQ(stats.batches_done, 1u);  // the two reconstructs fused
-  EXPECT_EQ(stats.batched_requests, 2u);
-  EXPECT_EQ(stats.compress_done, 1u);
-  EXPECT_DOUBLE_EQ(stats.in_flight_flops, 0.0);
-  svc.stop();
+  for (int width : {1, 4}) {
+    parallel::set_max_threads(width);
+    const std::string at = " at width " + std::to_string(width);
+    serve::ServeOptions opt;
+    opt.workers = 1;
+    opt.queue_depth = 16;
+    opt.autostart = false;
+    opt.batch_max = 8;
+    serve::Service<double> svc(opt);
+    const auto id = svc.register_model(model);
+    serve::ReconstructRequest<double> good;
+    good.model = id;
+    auto f1 = svc.try_submit(good);
+    serve::CompressRequest<double> creq;
+    creq.x = x;
+    creq.spec = spec;
+    creq.method = core::SvdMethod::kQr;
+    auto fc = svc.try_submit(std::move(creq));
+    auto f2 = svc.try_submit(good);
+    svc.start();
+    svc.drain();
+    EXPECT_EQ(fingerprint(f1->get().tensor), fingerprint(ref)) << at;
+    EXPECT_EQ(fingerprint(f2->get().tensor), fingerprint(ref)) << at;
+    const auto cres = fc->get().result;
+    expect_bitwise(cres.tucker.core, direct.tucker.core,
+                   "compress inside a batched queue" + at);
+    const auto stats = svc.stats();
+    EXPECT_EQ(stats.batches_done, 1u) << at;  // the two reconstructs fused
+    EXPECT_EQ(stats.batched_requests, 2u) << at;
+    EXPECT_EQ(stats.compress_done, 1u) << at;
+    EXPECT_DOUBLE_EQ(stats.in_flight_flops, 0.0) << at;
+    svc.stop();
+  }
 }
 
 // ---------------------------------------------------------- model cache --

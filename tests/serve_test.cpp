@@ -4,7 +4,8 @@
 //  - AdmissionController bounds modeled flops in flight, sheds over-budget
 //    requests, and admits an oversized request only when idle;
 //  - a compress request through the service is bitwise identical to calling
-//    sthosvd directly, and a reconstruct request (prepacked TTM fast path)
+//    sthosvd directly at pool widths {1, 2, 4} x workers {1, 2, 3} x
+//    methods {QR, Gram, Rand}, and a reconstruct request (prepacked TTM fast path)
 //    is bitwise identical to TuckerTensor::reconstruct();
 //  - responses are bitwise identical across worker counts {1, 2, 7} and
 //    across submission interleavings;
@@ -43,7 +44,8 @@ using tensor::Dims;
 using tensor::Tensor;
 
 struct ThreadsGuard {
-  ~ThreadsGuard() { parallel::set_max_threads(1); }
+  int prev = parallel::max_threads();
+  ~ThreadsGuard() { parallel::set_max_threads(prev); }
 };
 
 template <class T>
@@ -193,29 +195,127 @@ TEST(ModelCache, RegisterFindErase) {
   EXPECT_EQ(sm->packs.size(), 3u);
 }
 
+// A served compress runs exactly the offline core::sthosvd code, so its
+// bits equal one offline run at width 1 for every pool width, worker count
+// and method. The widths are explicit: a test that inherits the host's
+// width only checks whatever width the host happens to have.
 TEST(Service, CompressMatchesDirectSthosvd) {
+  ThreadsGuard guard;
   auto x = std::make_shared<Tensor<double>>(
       data::random_tensor<double>({14, 12, 10}, 23));
   const auto spec = core::TruncationSpec::fixed_ranks({4, 4, 4});
-  const auto direct = core::sthosvd(*x, spec, core::SvdMethod::kQr);
+  for (auto method :
+       {core::SvdMethod::kQr, core::SvdMethod::kGram, core::SvdMethod::kRand}) {
+    parallel::set_max_threads(1);
+    const auto direct = fingerprint(core::sthosvd(*x, spec, method));
+    for (int width : {1, 2, 4}) {
+      for (int workers : {1, 2, 3}) {
+        parallel::set_max_threads(width);
+        serve::ServeOptions opt;
+        opt.workers = workers;
+        serve::Service<double> svc(opt);
+        serve::CompressRequest<double> req;
+        req.x = x;
+        req.spec = spec;
+        req.method = method;
+        auto fut = svc.submit(std::move(req));
+        ASSERT_TRUE(fut.has_value());
+        auto resp = fut->get();
+        EXPECT_EQ(fingerprint(resp.result), direct)
+            << core::method_name(method) << " width=" << width
+            << " workers=" << workers;
+        EXPECT_GT(resp.cost.flops, 0.0);
+        EXPECT_GE(resp.latency_seconds, 0.0);
+        svc.stop();
+        const auto stats = svc.stats();
+        EXPECT_EQ(stats.compress_done, 1u);
+        EXPECT_EQ(stats.shed_budget + stats.shed_queue, 0u);
+      }
+    }
+  }
+}
 
-  serve::ServeOptions opt;
-  opt.workers = 2;
-  serve::Service<double> svc(opt);
-  serve::CompressRequest<double> req;
-  req.x = x;
-  req.spec = spec;
-  req.method = core::SvdMethod::kQr;
-  auto fut = svc.submit(std::move(req));
-  ASSERT_TRUE(fut.has_value());
-  auto resp = fut->get();
-  EXPECT_EQ(fingerprint(resp.result), fingerprint(direct));
-  EXPECT_GT(resp.cost.flops, 0.0);
-  EXPECT_GE(resp.latency_seconds, 0.0);
-  svc.stop();
-  const auto stats = svc.stats();
-  EXPECT_EQ(stats.compress_done, 1u);
-  EXPECT_EQ(stats.shed_budget + stats.shed_queue, 0u);
+// The same contract on the mixed-precision path: fp32 storage with wide
+// accumulation, where the accumulator reaches the Gram, sketch and TTM
+// kernels but not the LQ or the small SVD.
+TEST(Service, SingleWideCompressMatchesDirectSthosvd) {
+  ThreadsGuard guard;
+  auto x = std::make_shared<Tensor<float>>(data::round_tensor_to<float>(
+      data::random_tensor<double>({14, 12, 10}, 29)));
+  const auto spec = core::TruncationSpec::fixed_ranks({4, 4, 3});
+  core::SthosvdOptions sopt;
+  sopt.accum = Accum::kWide;
+  for (auto method : {core::SvdMethod::kQr, core::SvdMethod::kGram,
+                      core::SvdMethod::kRand, core::SvdMethod::kStream}) {
+    parallel::set_max_threads(1);
+    const auto direct = fingerprint(core::sthosvd(*x, spec, method, sopt));
+    for (int width : {1, 2, 4}) {
+      for (int workers : {1, 3}) {
+        parallel::set_max_threads(width);
+        serve::ServeOptions opt;
+        opt.workers = workers;
+        serve::Service<float> svc(opt);
+        serve::CompressRequest<float> req;
+        req.x = x;
+        req.spec = spec;
+        req.method = method;
+        req.opt = sopt;
+        auto fut = svc.submit(std::move(req));
+        ASSERT_TRUE(fut.has_value());
+        EXPECT_EQ(fingerprint(fut->get().result), direct)
+            << core::method_name(method) << " width=" << width
+            << " workers=" << workers;
+        svc.stop();
+      }
+    }
+  }
+}
+
+// Several compresses in flight at once, one per width-capped worker, each
+// still equal to its offline run at width 1.
+TEST(Service, ConcurrentCompressesMatchDirectSthosvd) {
+  ThreadsGuard guard;
+  const std::vector<std::shared_ptr<const Tensor<double>>> xs{
+      std::make_shared<Tensor<double>>(
+          data::random_tensor<double>({14, 12, 10}, 37)),
+      std::make_shared<Tensor<double>>(
+          data::random_tensor<double>({10, 13, 11}, 39))};
+  const std::vector<core::SvdMethod> methods{
+      core::SvdMethod::kQr, core::SvdMethod::kGram, core::SvdMethod::kRand};
+  const auto spec = core::TruncationSpec::fixed_ranks({4, 3, 4});
+
+  parallel::set_max_threads(1);
+  std::vector<std::vector<unsigned char>> direct;
+  for (const auto& x : xs)
+    for (auto method : methods)
+      direct.push_back(fingerprint(core::sthosvd(*x, spec, method)));
+
+  for (int width : {1, 4}) {
+    parallel::set_max_threads(width);
+    serve::ServeOptions opt;
+    opt.workers = 3;
+    opt.queue_depth = 16;
+    opt.autostart = false;
+    serve::Service<double> svc(opt);
+    std::vector<std::future<serve::CompressResponse<double>>> futs;
+    for (const auto& x : xs)
+      for (auto method : methods) {
+        serve::CompressRequest<double> req;
+        req.x = x;
+        req.spec = spec;
+        req.method = method;
+        auto fut = svc.try_submit(std::move(req));
+        ASSERT_TRUE(fut.has_value());
+        futs.push_back(std::move(*fut));
+      }
+    svc.start();
+    svc.drain();
+    for (std::size_t i = 0; i < futs.size(); ++i)
+      EXPECT_EQ(fingerprint(futs[i].get().result), direct[i])
+          << "request " << i << " width=" << width;
+    EXPECT_EQ(svc.stats().compress_done, futs.size()) << "width=" << width;
+    svc.stop();
+  }
 }
 
 TEST(Service, ReconstructFastPathMatchesReconstruct) {

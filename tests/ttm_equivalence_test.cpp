@@ -109,13 +109,15 @@ void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
 
 class TtmEquivalence : public ::testing::Test {
  protected:
+  void SetUp() override { width_ = parallel::max_threads(); }
   void TearDown() override {
-    parallel::set_max_threads(1);
+    parallel::set_max_threads(width_);
     tensor::ttm_engine() = TtmEngine::kPacked;
     blas::detail::kernel_variant() = TUCKER_SIMD
                                          ? blas::detail::KernelVariant::kSimd
                                          : blas::detail::KernelVariant::kScalar;
   }
+  int width_ = 0;
 };
 
 TEST_F(TtmEquivalence, PackedMatchesReferenceAcrossWidths3Order) {

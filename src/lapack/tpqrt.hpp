@@ -3,10 +3,10 @@
 // equivalents).
 //
 // These kernels drive both TSQR phases of the paper:
-//  - the sequential flat-tree TensorLQ (Alg 2) annihilates each row-major
-//    unfolding block into the running triangular factor, and
-//  - the parallel butterfly reduction (Alg 3) annihilates one triangular
-//    factor into another at every tree level.
+//  - a middle-mode leaf of the TensorLQ tree (Alg 2) annihilates each
+//    row-major unfolding block into its running triangular factor, and
+//  - the tree's merges and the parallel butterfly reduction (Alg 3)
+//    annihilate one triangular factor into another at every tree level.
 // When the pentagon block is itself triangular the reflectors touch only the
 // nonzero rows, halving the flops -- the same structure exploitation LAPACK's
 // tpqrt provides.
@@ -60,10 +60,10 @@ void tpqrt_unblocked(MatView<T> r, MatView<T> b, T* tau, Pentagon shape) {
 /// tau receives n scalars. With Pentagon::kTriangular, column j of B is
 /// assumed zero below row j and only rows 0..j participate.
 ///
-/// Wide full-pentagon stacks (the flat-tree TensorLQ case, where B is a
-/// whole unfolding block) are processed in compact-WY column panels with
-/// gemm trailing updates over B -- LAPACK's blocked tpqrt strategy -- so
-/// the mid-mode flat tree runs at matrix-multiply speed. The reflectors of
+/// Wide full-pentagon stacks (the TensorLQ leaf sweep, where B is a whole
+/// unfolding block) are processed in compact-WY column panels with gemm
+/// trailing updates over B -- LAPACK's blocked tpqrt strategy -- so the
+/// mid-mode sweep runs at matrix-multiply speed. The reflectors of
 /// a [R; B] panel have the special structure V = [I; B_panel] (unit rows in
 /// R, dense tails in B), so V_i^T V_j reduces to B-column inner products.
 template <class T>
@@ -100,7 +100,7 @@ void tpqrt(MatView<T> r, MatView<T> b, std::vector<T>& tau,
     // V_j = [e_j; bp(:, j)], the cross products V_i^T V_j reduce to
     // bp-column inner products. The j recursion is sequential, but the
     // O(m) inner products for a given j are independent -- for the long
-    // unfolding blocks of the flat-tree TensorLQ they dominate, so they
+    // unfolding blocks of the TensorLQ leaf sweep they dominate, so they
     // fan out over i (each dot is computed exactly as in the serial run).
     auto tm = tmat.block(0, 0, jb, jb);
     blas::fill(tm, T(0));

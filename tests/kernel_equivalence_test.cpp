@@ -11,11 +11,14 @@
 //  - a repeated ttm_into loop performs zero heap allocations after warm-up
 //    (counting global operator new), and repeated sthosvd calls reuse their
 //    stashed ping-pong scratch;
+//  - the TensorLQ tree keeps the caller's arena below half the unfolding,
+//    and a warm call's heap use does not grow with its leaf count;
 //  - sthosvd output is bitwise identical across kernel variants and thread
 //    counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -30,32 +33,57 @@
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "core/sthosvd.hpp"
+#include "data/synthetic_tensor.hpp"
 #include "tensor/tensor.hpp"
+#include "tensor/tensor_lq.hpp"
 #include "tensor/ttm.hpp"
 
 // ------------------------------------------------ counting global allocator
 
 namespace {
 std::atomic<long> g_live_allocs{0};
+
+// Counted allocation; nullptr on failure, as the nothrow forms return.
+void* counted_alloc(std::size_t n) {
+  ++g_live_allocs;
+  return std::malloc(n ? n : 1);
 }
+void* counted_alloc(std::size_t n, std::align_val_t al) {
+  ++g_live_allocs;
+  const auto a = static_cast<std::size_t>(al);
+  return std::aligned_alloc(a, (std::max<std::size_t>(n, 1) + a - 1) / a * a);
+}
+}  // namespace
 
 void* operator new(std::size_t n) {
-  ++g_live_allocs;
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = counted_alloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
-  ++g_live_allocs;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) /
-                                       static_cast<std::size_t>(al) *
-                                       static_cast<std::size_t>(al)))
-    return p;
+  if (void* p = counted_alloc(n, al)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
+}
+// The nothrow forms (std::stable_sort's temporary buffer uses them) are
+// replaced too: left to the runtime they allocate through its own
+// operator new, and releasing that with the std::free below is an
+// alloc-dealloc mismatch under ASan.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new(std::size_t n, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, al);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -67,6 +95,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -451,21 +490,69 @@ TEST(ZeroAllocTest, SthosvdReusesStashedScratch) {
   using tucker::tensor::Tensor;
   ThreadsGuard threads;
   tucker::parallel::set_max_threads(1);
-  Tensor<double> x({12, 10, 8});
-  tucker::Rng rng(33);
-  for (index_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal<double>();
-  tucker::core::TruncationSpec spec;
-  spec.ranks = {5, 5, 5};
-  auto r1 = tucker::core::sthosvd(x, spec, tucker::core::SvdMethod::kGram);
-  const std::size_t reserved = Workspace::local().bytes_reserved();
-  auto r2 = tucker::core::sthosvd(x, spec, tucker::core::SvdMethod::kGram);
-  // Second run serves all scratch from the warm arena and stash.
-  EXPECT_EQ(Workspace::local().bytes_reserved(), reserved);
-  ASSERT_EQ(r1.tucker.core.size(), r2.tucker.core.size());
-  EXPECT_EQ(std::memcmp(r1.tucker.core.data(), r2.tucker.core.data(),
-                        sizeof(double) *
-                            static_cast<std::size_t>(r1.tucker.core.size())),
-            0);
+  // Gram, and QR on a shape whose mode-0 and mode-1 LQs are multi-leaf
+  // trees (their leaf triangles and leaf copies come from the arena too).
+  struct Case {
+    tucker::tensor::Dims dims;
+    tucker::core::SvdMethod method;
+  };
+  for (const Case& c : {Case{{12, 10, 8}, tucker::core::SvdMethod::kGram},
+                        Case{{24, 40, 40, 10}, tucker::core::SvdMethod::kQr}}) {
+    Tensor<double> x(c.dims);
+    tucker::Rng rng(33);
+    for (index_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal<double>();
+    if (c.method == tucker::core::SvdMethod::kQr) {
+      ASSERT_GT(tucker::tensor::detail::lq_leaves(x, 0).count(), 1);
+    }
+    tucker::core::TruncationSpec spec;
+    spec.ranks.assign(x.order(), 5);
+    auto r1 = tucker::core::sthosvd(x, spec, c.method);
+    const std::size_t reserved = Workspace::local().bytes_reserved();
+    auto r2 = tucker::core::sthosvd(x, spec, c.method);
+    // Second run serves all scratch from the warm arena and stash.
+    EXPECT_EQ(Workspace::local().bytes_reserved(), reserved);
+    ASSERT_EQ(r1.tucker.core.size(), r2.tucker.core.size());
+    EXPECT_EQ(std::memcmp(r1.tucker.core.data(), r2.tucker.core.data(),
+                          sizeof(double) *
+                              static_cast<std::size_t>(r1.tucker.core.size())),
+              0);
+  }
+}
+
+// ------------------------------------------------ TensorLQ tree memory
+
+TEST(TensorLqMemoryTest, ArenaHighWaterStaysBelowHalfTheUnfolding) {
+  // The caller's arena holds the leaf triangles and the leaf copies this
+  // thread runs -- never a copy of the whole unfolding.
+  auto x = tucker::data::random_tensor<double>({24, 40, 40, 10}, 35);
+  ASSERT_GT(tucker::tensor::detail::lq_leaves(x, 0).count(), 1);
+  Workspace& ws = Workspace::local();
+  ws.reset_high_water();
+  const std::size_t base = ws.bytes_in_use();
+  (void)tucker::tensor::tensor_lq(x, 0);
+  EXPECT_LT(ws.high_water() - base,
+            sizeof(double) * static_cast<std::size_t>(x.size()) / 2);
+}
+
+TEST(TensorLqMemoryTest, WarmMultiLeafCallAllocatesNoMoreThanSingleLeaf) {
+  // Leaves reuse the thread's stashed tau and arena scratch, so a warm
+  // call's heap traffic (the returned L) does not grow with the leaf count.
+  ThreadsGuard threads;
+  tucker::parallel::set_max_threads(1);
+  auto multi = tucker::data::random_tensor<double>({24, 40, 40, 10}, 36);
+  auto single = tucker::data::random_tensor<double>({24, 10, 10}, 37);
+  for (std::size_t n : {0u, 1u}) {
+    ASSERT_GT(tucker::tensor::detail::lq_leaves(multi, n).count(), 1);
+    ASSERT_EQ(tucker::tensor::detail::lq_leaves(single, n).count(), 1);
+    (void)tucker::tensor::tensor_lq(multi, n);
+    (void)tucker::tensor::tensor_lq(single, n);
+    const long a0 = g_live_allocs.load();
+    (void)tucker::tensor::tensor_lq(single, n);
+    const long a1 = g_live_allocs.load();
+    (void)tucker::tensor::tensor_lq(multi, n);
+    const long a2 = g_live_allocs.load();
+    EXPECT_LE(a2 - a1, a1 - a0) << "mode " << n;
+  }
 }
 
 // --------------------------------------- sthosvd bitwise across variants

@@ -5,7 +5,8 @@
 //    requests, and admits an oversized request only when idle;
 //  - a compress request through the service is bitwise identical to calling
 //    sthosvd directly at pool widths {1, 2, 4} x workers {1, 2, 3} x
-//    methods {QR, Gram, Rand}, and a reconstruct request (prepacked TTM fast path)
+//    methods {QR, Gram, Rand} (and for a QR compress whose LQs are
+//    multi-leaf trees), and a reconstruct request (prepacked TTM fast path)
 //    is bitwise identical to TuckerTensor::reconstruct();
 //  - responses are bitwise identical across worker counts {1, 2, 7} and
 //    across submission interleavings;
@@ -35,6 +36,7 @@
 #include "serve/queue.hpp"
 #include "serve/service.hpp"
 #include "tensor/tensor.hpp"
+#include "tensor/tensor_lq.hpp"
 
 namespace tucker {
 namespace {
@@ -231,6 +233,43 @@ TEST(Service, CompressMatchesDirectSthosvd) {
         EXPECT_EQ(stats.compress_done, 1u);
         EXPECT_EQ(stats.shed_budget + stats.shed_queue, 0u);
       }
+    }
+  }
+}
+
+// A QR compress whose mode-0 and mode-1 LQs are multi-leaf trees: with two
+// workers each worker's capped width fans the leaves out over the pool,
+// with three they run inline; the tree's shape ignores both, so every
+// served result equals the offline one.
+TEST(Service, MultiLeafQrCompressMatchesDirectSthosvd) {
+  ThreadsGuard guard;
+  auto x = std::make_shared<Tensor<double>>(
+      data::random_tensor<double>({24, 40, 40, 10}, 31));
+  ASSERT_GT(tensor::detail::lq_leaves(*x, 0).count(), 1);
+  const auto spec = core::TruncationSpec::fixed_ranks({5, 5, 5, 5});
+  parallel::set_max_threads(1);
+  const auto direct =
+      fingerprint(core::sthosvd(*x, spec, core::SvdMethod::kQr));
+  for (int width : {2, 4}) {
+    for (int workers : {1, 2, 3}) {
+      parallel::set_max_threads(width);
+      serve::ServeOptions opt;
+      opt.workers = workers;
+      serve::Service<double> svc(opt);
+      std::vector<std::future<serve::CompressResponse<double>>> futs;
+      for (int r = 0; r < workers; ++r) {
+        serve::CompressRequest<double> req;
+        req.x = x;
+        req.spec = spec;
+        req.method = core::SvdMethod::kQr;
+        auto fut = svc.submit(std::move(req));
+        ASSERT_TRUE(fut.has_value());
+        futs.push_back(std::move(*fut));
+      }
+      for (auto& f : futs)
+        EXPECT_EQ(fingerprint(f.get().result), direct)
+            << "width=" << width << " workers=" << workers;
+      svc.stop();
     }
   }
 }

@@ -1,17 +1,23 @@
 // Unit tests for the tensor layer: layout, unfolding views, TTM, Gram of
-// unfoldings, and the flat-tree TensorLQ (paper Alg 2).
+// unfoldings, and TensorLQ (paper Alg 2) with its in-node TSQR tree.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "blas/blas1.hpp"
 #include "blas/gemm.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "data/synthetic_tensor.hpp"
 #include "lapack/eig.hpp"
+#include "lapack/qr.hpp"
 #include "lapack/svd.hpp"
+#include "lapack/tpqrt.hpp"
 #include "tensor/gram.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_lq.hpp"
@@ -280,6 +286,179 @@ TEST(TensorLqTest, SingularValuesMatchGramEigenvalues) {
                   1e-8 * std::abs(eig.lambda[0]))
           << "mode " << n << " index " << i;
   }
+}
+
+// ---------------------------------------------------------- TensorLQ tree
+
+// Restores the pool width the test found on entry.
+struct ThreadsGuard {
+  int saved = parallel::max_threads();
+  ~ThreadsGuard() { parallel::set_max_threads(saved); }
+};
+
+bool same_bits(const Matrix<double>& a, const Matrix<double>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * static_cast<std::size_t>(a.rows()) *
+                         static_cast<std::size_t>(a.cols())) == 0;
+}
+
+/// L from the tree must be bitwise equal at every pool width and satisfy
+/// L L^T = X_(n) X_(n)^T.
+void expect_tree_invariants(const Tensor<double>& x, std::size_t n) {
+  ThreadsGuard guard;
+  parallel::set_max_threads(1);
+  const Matrix<double> l = tensor::tensor_lq(x, n);
+  for (int width : {2, 3, 4, 7}) {
+    parallel::set_max_threads(width);
+    EXPECT_TRUE(same_bits(tensor::tensor_lq(x, n), l))
+        << "mode " << n << " width " << width;
+  }
+  const index_t m = x.dim(n);
+  ASSERT_EQ(l.rows(), m);
+  ASSERT_EQ(l.cols(), m);
+  auto gram = tensor::gram_of_unfolding(x, n);
+  Matrix<double> llt(m, m);
+  blas::gemm(1.0, l.cview(), MatView<const double>(l.view().t()), 0.0,
+             llt.view());
+  double scale = 0;  // max |entry| of a Gram matrix: its largest diagonal
+  for (index_t i = 0; i < m; ++i) scale = std::max(scale, gram(i, i));
+  EXPECT_LE(blas::max_abs_diff(llt.cview(), gram.cview()), 1e-10 * scale)
+      << "mode " << n;
+}
+
+/// Width in columns of the tree's last leaf.
+index_t last_leaf_cols(const tensor::detail::LqLeaves& lv) {
+  return (lv.units - (lv.count() - 1) * lv.per_leaf) * lv.unit_cols;
+}
+
+TEST(TensorLqTree, Mode0) {
+  auto x = data::random_tensor<double>({24, 30, 20, 14}, 301);
+  ASSERT_GE(tensor::detail::lq_leaves(x, 0).count(), 3);
+  expect_tree_invariants(x, 0);
+}
+
+TEST(TensorLqTree, MiddleModeWithWideBlocks) {
+  // I_n^< = 40 >= m = 16: every block is short-fat on its own.
+  auto x = data::random_tensor<double>({40, 16, 30, 9}, 302);
+  const auto lv = tensor::detail::lq_leaves(x, 1);
+  ASSERT_GE(lv.unit_cols, x.dim(1));
+  ASSERT_GE(lv.count(), 3);
+  expect_tree_invariants(x, 1);
+}
+
+TEST(TensorLqTree, MiddleModeMergesLeadingBlocks) {
+  // I_n^< = 3 < m = 20: each leaf merges ceil(20/3) = 7 leading blocks
+  // before its first LQ yields a triangle.
+  auto x = data::random_tensor<double>({3, 20, 40, 60}, 303);
+  const auto lv = tensor::detail::lq_leaves(x, 1);
+  ASSERT_LT(lv.unit_cols, x.dim(1));
+  ASSERT_GE(lv.count(), 3);
+  expect_tree_invariants(x, 1);
+}
+
+TEST(TensorLqTree, LastMode) {
+  auto x = data::random_tensor<double>({40, 30, 12, 18}, 304);
+  ASSERT_GE(tensor::detail::lq_leaves(x, 3).count(), 3);
+  expect_tree_invariants(x, 3);
+}
+
+TEST(TensorLqTree, OddNonPowerOfTwoLeafCount) {
+  auto x = data::random_tensor<double>({8, 70, 500}, 305);
+  const index_t count = tensor::detail::lq_leaves(x, 0).count();
+  ASSERT_GT(count, 4);
+  ASSERT_EQ(count % 2, 1);
+  ASSERT_NE(count & (count - 1), 0);
+  expect_tree_invariants(x, 0);
+}
+
+TEST(TensorLqTree, NarrowRemainderLeafIsPadded) {
+  // Mode 0: the last leaf has fewer columns than m, so its LQ is a
+  // trapezoid the tree pads to a triangle.
+  auto x = data::random_tensor<double>({64, 8, 389}, 306);
+  const auto lv = tensor::detail::lq_leaves(x, 0);
+  ASSERT_GT(lv.count(), 1);
+  ASSERT_LT(last_leaf_cols(lv), x.dim(0));
+  expect_tree_invariants(x, 0);
+
+  // Middle mode: the last leaf holds too few blocks to merge into a
+  // triangle, so its flat sweep stops at the trapezoid.
+  auto y = data::random_tensor<double>({3, 20, 11, 199}, 307);
+  const auto lvy = tensor::detail::lq_leaves(y, 1);
+  ASSERT_GT(lvy.count(), 1);
+  ASSERT_LT(last_leaf_cols(lvy), y.dim(1));
+  expect_tree_invariants(y, 1);
+}
+
+/// The single-leaf factorization, run by hand on dense copies: one gelqf
+/// for a single-matrix unfolding, the flat tplqt sweep otherwise.
+Matrix<double> hand_run_lq(const Tensor<double>& x, std::size_t n) {
+  const index_t m = x.dim(n);
+  const index_t before = tensor::prod_before(x.dims(), n);
+  const index_t after = tensor::prod_after(x.dims(), n);
+  std::vector<double> tau;
+  if (n == 0 || after == 1) {
+    Matrix<double> a(m, before * after);
+    blas::copy(n == 0 ? tensor::unfolding_mode0(x)
+                      : tensor::unfolding_block(x, n, 0),
+               a.view());
+    la::gelqf(a.view(), tau);
+    return la::extract_l<double>(a.cview());
+  }
+  const index_t merge = std::min(after, (m + before - 1) / before);
+  Matrix<double> first(m, merge * before);
+  for (index_t b = 0; b < merge; ++b)
+    blas::copy(tensor::unfolding_block(x, n, b),
+               first.view().block(0, b * before, m, before));
+  la::gelqf(first.view(), tau);
+  Matrix<double> l = la::extract_l<double>(first.cview());
+  if (l.cols() < m) return l;
+  for (index_t j = merge; j < after; ++j) {
+    auto block = Matrix<double>::from(tensor::unfolding_block(x, n, j));
+    la::tplqt(l.view(), block.view(), tau, la::Pentagon::kFull);
+  }
+  return l;
+}
+
+TEST(TensorLqTree, SingleLeafMatchesHandRunFactorization) {
+  // An unfolding that fits one leaf runs exactly the leaf kernel: bit for
+  // bit the whole-unfolding gelqf (modes 0 and last) or the flat sweep
+  // (middle modes, with and without merged leading blocks), including the
+  // trapezoid of an unfolding narrower than m.
+  for (const Dims& dims : {Dims{6, 7, 5, 4}, Dims{2, 9, 4}}) {
+    auto x = data::random_tensor<double>(dims, 308);
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      ASSERT_EQ(tensor::detail::lq_leaves(x, n).count(), 1);
+      EXPECT_TRUE(same_bits(tensor::tensor_lq(x, n), hand_run_lq(x, n)))
+          << "order " << x.order() << " mode " << n;
+    }
+  }
+}
+
+TEST(TensorLqTree, MergesPairwiseLevelByLevel) {
+  // The documented tree shape, built by hand for five leaves: the leaf
+  // LQs, then the merges (0,1) (2,3) | (0,2) | (0,4), each annihilating
+  // the right triangle into the left one.
+  const auto x = data::random_tensor<double>({8, 70, 500}, 309);
+  const auto lv = tensor::detail::lq_leaves(x, 0);
+  ASSERT_EQ(lv.count(), 5);
+  const index_t m = x.dim(0);
+  const auto a = tensor::unfolding_mode0(x);
+  std::vector<Matrix<double>> tri;
+  std::vector<double> tau;
+  for (index_t i = 0; i < lv.count(); ++i) {
+    const index_t c0 = i * lv.per_leaf;
+    const index_t w = std::min(lv.units, c0 + lv.per_leaf) - c0;
+    Matrix<double> leaf(m, w);
+    blas::copy(a.block(0, c0, m, w), leaf.view());
+    la::gelqf(leaf.view(), tau);
+    tri.push_back(la::extract_l<double>(leaf.cview()));
+  }
+  const std::pair<int, int> merges[] = {{0, 1}, {2, 3}, {0, 2}, {0, 4}};
+  for (auto [dst, src] : merges)
+    la::tplqt(tri[dst].view(), tri[src].view(), tau,
+              la::Pentagon::kTriangular);
+  EXPECT_TRUE(same_bits(tensor::tensor_lq(x, 0), tri[0]));
 }
 
 // -------------------------------------------------- spectra of generators

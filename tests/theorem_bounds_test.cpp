@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "blas/blas1.hpp"
 #include "blas/gemm.hpp"
@@ -285,6 +286,35 @@ TEST(Theorem1StreamTest, MergeDepthDoesNotErodeTheSubspace) {
   EXPECT_LT(max_principal_angle_sin(MatView<const double>(uref.view()),
                                     MatView<const double>(udeep.view())),
             1e-7);
+}
+
+// ---- Theorem 1 for the in-node LQ tree ---------------------------------
+//
+// Theorem 1's rung for the QR path is absolute: |~sigma_i - sigma_i| =
+// O(eps_s ||A||). One Householder sweep over a ~2e4-column fp32 unfolding
+// drifts off it (11-17 eps_s on mode 0 of these tensors, eps_s = 2^-23):
+// each reflector's inner products run down a whole unfolding row. The
+// in-node TSQR tree keeps those chains one leaf long (<= 3.2 eps_s). The
+// reference is an fp64 LQ of the same fp32 data, so only the
+// factorization's rounding is measured.
+
+TEST(Theorem1TreeTest, SingleLqOfLongUnfoldingStaysOnEpsRung) {
+  const double eps_s = std::numeric_limits<float>::epsilon();
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const auto xf = data::round_tensor_to<float>(data::hcci_like(0.5, seed));
+    const auto xd = data::round_tensor_to<double>(xf);
+    for (std::size_t n = 0; n < 2; ++n) {
+      const auto single = core::qr_svd(xf, n);
+      const auto exact = core::qr_svd(xd, n);
+      ASSERT_EQ(single.sigma_sq.size(), exact.sigma_sq.size());
+      const double smax = std::sqrt(exact.sigma_sq[0]);
+      for (std::size_t i = 0; i < exact.sigma_sq.size(); ++i)
+        EXPECT_LE(std::abs(std::sqrt(static_cast<double>(single.sigma_sq[i])) -
+                           std::sqrt(exact.sigma_sq[i])),
+                  10 * eps_s * smax)
+            << "seed " << seed << " mode " << n << " i " << i;
+    }
+  }
 }
 
 // ---- Mixed-precision rungs of the ladder -------------------------------

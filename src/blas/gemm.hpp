@@ -14,18 +14,18 @@
 // never touch the heap.
 //
 // Both kernels are multithreaded through tucker::parallel by partitioning
-// the *output*: gemm over row or column panels of C, syrk over balanced row
-// bands of the triangle. Partitions write disjoint elements and every
-// element keeps the serial k-accumulation order, so results are bitwise
-// identical for every thread count (see thread_pool.hpp) and for every
-// cache-block size (blocking only changes when partial sums spill to
-// memory, which does not round). Small problems and exotic layouts take
-// scalar fallback paths.
+// the *output*: gemm over row or column panels of C, syrk over equal-area
+// row bands of the triangle that share one packed panel per k step.
+// Partitions write disjoint elements and every element keeps the serial
+// k-accumulation order, so results are bitwise identical for every thread
+// count (see thread_pool.hpp) and for every cache-block size (blocking only
+// changes when partial sums spill to memory, which does not round). Small
+// problems and exotic layouts take scalar fallback paths.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <type_traits>
-#include <vector>
 
 #include "blas/blas1.hpp"
 #include "blas/matview.hpp"
@@ -235,20 +235,152 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
   }
 }
 
+/// syrk's k-block depth. Each C element loads C, accumulates at most
+/// kSyrkKB columns of one block in the register tile and stores C back, so
+/// under Accum::kWide it takes one storage rounding per sub-chunk. Unlike
+/// gemm_kb this is part of the bits, not a knob.
+inline constexpr index_t kSyrkKB = 256;
+
+/// A step fans out into one row band per kSyrkBandFlops of its flops, at
+/// most kSyrkMaxBands; a step below two bands' worth stays on the caller.
+inline constexpr double kSyrkBandFlops = 1 << 18;
+inline constexpr index_t kSyrkMaxBands = 16;
+
+/// State of one syrk_blocks call. A step is `nsub` sub-chunks of `kn`
+/// columns each -- one kSyrkKB slice of a wide block, or several whole
+/// narrow blocks -- packed once into the shared panels: alpha * A as
+/// MR-row panels and A^T as NR-column panels, sub-chunk s at offset
+/// s * round_up(m, MR or NR) * kn. Pool workers pack disjoint row groups
+/// in one fanout and compute disjoint row bands in the next; the caller
+/// owns the panels (its arena) and the step fields between fanouts.
+template <class T, class TA>
+struct SyrkSteps {
+  MatView<const T> a;  // block 0; block j starts at a.data() + j * stride
+  index_t stride;
+  T alpha;
+  MatView<T> c;  // row-contiguous
+  T* apack;
+  T* bpack;
+  bool simd;
+  index_t j0 = 0, k0 = 0, nsub = 0, kn = 0;  // columns [k0, k0+kn) of
+                                            // blocks j0 .. j0+nsub-1
+  std::array<index_t, kSyrkMaxBands + 1> bands{};
+
+  // Packs rows [rlo, rhi) of every sub-chunk; rlo is NR-aligned (and so
+  // MR-aligned), so the partial packs tile the full panel layout.
+  void pack(index_t rlo, index_t rhi) const {
+    const index_t mpa = round_up(a.rows(), kMicroMR);
+    const index_t mpb = round_up(a.rows(), kMicroNR);
+    for (index_t s = 0; s < nsub; ++s) {
+      const MatView<const T> b(a.data() + (j0 + s) * stride, a.rows(),
+                               a.cols(), a.row_stride(), a.col_stride());
+      pack_a(b, rlo, rhi - rlo, k0, kn, alpha, apack + (s * mpa + rlo) * kn);
+      pack_b(b.t(), k0, kn, rlo, rhi - rlo, bpack + (s * mpb + rlo) * kn);
+    }
+  }
+
+  // Lower-triangle rows [rlo, rhi), rlo MR-aligned: one micro-kernel pass
+  // per sub-chunk, in column order.
+  void band(index_t rlo, index_t rhi) const {
+    const index_t ldc = c.row_stride();
+    const index_t mpa = round_up(a.rows(), kMicroMR);
+    const index_t mpb = round_up(a.rows(), kMicroNR);
+    for (index_t s = 0; s < nsub; ++s) {
+      for (index_t i0 = rlo; i0 < rhi; i0 += kMicroMR) {
+        const index_t mr = std::min(kMicroMR, rhi - i0);
+        const T* ap = apack + (s * mpa + i0) * kn;
+        for (index_t jt = 0; jt < i0 + mr; jt += kMicroNR) {
+          const T* bp = bpack + (s * mpb + jt) * kn;
+          T* cp = c.data() + i0 * ldc + jt;
+          if (mr == kMicroMR && jt + kMicroNR - 1 <= i0) {
+            mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+            continue;
+          }
+          // Diagonal-crossing or edge tile: compute the full tile into a
+          // local buffer, store back only the lower-triangle entries.
+          T ctmp[kMicroMR * kMicroNR];
+          for (index_t r = 0; r < kMicroMR; ++r)
+            for (index_t j = 0; j < kMicroNR; ++j) {
+              const bool live = r < mr && jt + j <= i0 + r;
+              ctmp[r * kMicroNR + j] = live ? cp[r * ldc + j] : T(0);
+            }
+          mk_tile<T, TA>(simd, kn, ap, bp, ctmp, kMicroNR);
+          for (index_t r = 0; r < mr; ++r) {
+            const index_t jn = std::min(kMicroNR, i0 + r - jt + 1);
+            for (index_t j = 0; j < jn; ++j)
+              cp[r * ldc + j] = ctmp[r * kMicroNR + j];
+          }
+        }
+      }
+    }
+  }
+
+  // Runs one step: the pack fanout, then the band fanout over the shared
+  // panels. The pool's completion wait orders the panel writes before the
+  // reads; a one-band step has one chunk per fanout and runs inline.
+  void step(index_t first_block, index_t first_col, index_t blocks,
+            index_t cols) {
+    j0 = first_block;
+    k0 = first_col;
+    nsub = blocks;
+    kn = cols;
+    const index_t m = a.rows();
+    const double flops = static_cast<double>(m) * (m + 1) * nsub * kn;
+    const index_t nb = std::clamp<index_t>(
+        static_cast<index_t>(flops / kSyrkBandFlops), 1,
+        std::min(kSyrkMaxBands, (m + kMicroMR - 1) / kMicroMR));
+    // Band b starts at row m sqrt(b/nb), rounded up to MR: equal triangle
+    // area per band.
+    for (index_t b = 0; b <= nb; ++b)
+      bands[static_cast<std::size_t>(b)] = std::min<index_t>(
+          m, round_up(static_cast<index_t>(std::ceil(
+                          m * std::sqrt(static_cast<double>(b) / nb))),
+                      kMicroMR));
+    // Pack in NR-row groups (NR is a multiple of MR), one chunk per band.
+    static_assert(kMicroNR % kMicroMR == 0);
+    const index_t groups = (m + kMicroNR - 1) / kMicroNR;
+    parallel::parallel_for(0, groups, (groups + nb - 1) / nb,
+                           [this](index_t lo, index_t hi) {
+                             pack(lo * kMicroNR,
+                                  std::min(a.rows(), hi * kMicroNR));
+                           });
+    parallel::parallel_for_chunks(
+        0, nb, 1, [this](index_t b, index_t, index_t) {
+          const auto i = static_cast<std::size_t>(b);
+          band(bands[i], bands[i + 1]);
+        });
+  }
+};
+
 }  // namespace detail
 
-/// C = alpha * A * A^T + beta * C, with A m x n and C m x m.
-/// Computes the lower triangle with the register-tiled micro-kernel (the
-/// "B" operand is A^T, packed from the same matrix), then mirrors to the
-/// upper triangle (the Gram eigensolver wants the full symmetric matrix).
-/// TA as in gemm: wide accumulation spills at storage width per k block.
+/// C = alpha * sum_j A_j A_j^T + beta * C over `nblocks` m x w blocks,
+/// block j at a.data() + j * stride with a's strides (a is block 0): the
+/// Gram of a row-major unfolding in one call (tensor/gram.hpp).
+///
+/// Per element the chain is serial: blocks in order, each cut into
+/// kSyrkKB-column sub-chunks, each sub-chunk one register-tile run
+/// c += (alpha * a(i,k)) * a(j,k) from C and back to C. Steps and bands
+/// never change that chain, so the bits are those of one syrk per block
+/// (beta on the first) at every thread width.
+///
+/// A step is as many whole sub-chunks as fit in kSyrkKB columns (12
+/// blocks of 21 columns), so the shared panels never exceed
+/// (round_up(m, MR) + round_up(m, NR)) * kSyrkKB elements of the caller's
+/// arena. Its band count depends on m and the step width only. The upper
+/// triangle is mirrored from the lower.
 template <class T, class TA = T>
-void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
-  const index_t m = a.rows(), n = a.cols();
+void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
+                 T beta, MatView<T> c) {
+  using detail::kMicroMR;
+  using detail::kMicroNR;
+  using detail::kSyrkKB;
+  const index_t m = a.rows(), w = a.cols();
   TUCKER_CHECK(c.rows() == m && c.cols() == m, "syrk: C must be m x m");
-  // Nominal cost: m(m+1)n mults+adds over the triangle.
-  add_flops(static_cast<std::int64_t>(m) * (m + 1) * n);
-  add_traffic(flops::syrk_bytes(m, n, sizeof(T)));
+  TUCKER_CHECK(nblocks >= 0, "syrk: negative block count");
+  // Nominal cost per block: m(m+1)w mults+adds over the triangle.
+  add_flops(static_cast<std::int64_t>(m) * (m + 1) * w * nblocks);
+  add_traffic(nblocks * flops::syrk_bytes(m, w, sizeof(T)));
 
   if (beta == T(0)) {
     fill(c, T(0));
@@ -256,124 +388,71 @@ void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
     for (index_t i = 0; i < m; ++i)
       for (index_t j = 0; j < m; ++j) c(i, j) *= beta;
   }
-  if (alpha == T(0) || n == 0) {
-    return;
-  }
+  if (alpha == T(0) || w == 0 || nblocks == 0) return;
 
-  // Parallel decomposition: row bands [rlo, rhi) of the lower triangle.
-  // Band b of nb bands spans rows [m*sqrt(b/nb), m*sqrt((b+1)/nb)), which
-  // equalizes triangle area per band. Each element keeps the serial
-  // k-accumulation order c += (alpha * a(i,k)) * a(j,k), so neither banding
-  // nor tiling ever changes the bits.
-  using detail::kMicroMR;
-  using detail::kMicroNR;
-  constexpr index_t kSyrkKB = 256;
-  const MatView<const T> at = a.t();
-  const index_t ldc = c.col_stride() == 1 ? c.row_stride() : 0;
-  auto run_band = [&](index_t rlo, index_t rhi) {
-    if (rhi <= rlo) return;
-    if (c.col_stride() != 1) {
-      // Generic-C fallback (not used by the library's own row-major Grams).
+  if (c.col_stride() != 1) {
+    // Generic-C fallback (not used by the library's own row-major Grams):
+    // the same chain, serially.
+    for (index_t jb = 0; jb < nblocks; ++jb) {
+      const MatView<const T> b(a.data() + jb * stride, m, w, a.row_stride(),
+                               a.col_stride());
       if constexpr (std::is_same_v<T, TA>) {
-        for (index_t kk = 0; kk < n; ++kk)
-          for (index_t i = rlo; i < rhi; ++i) {
-            const T av = alpha * a(i, kk);
-            for (index_t j = 0; j <= i; ++j) c(i, j) += av * a(j, kk);
+        for (index_t kk = 0; kk < w; ++kk)
+          for (index_t i = 0; i < m; ++i) {
+            const T av = alpha * b(i, kk);
+            for (index_t j = 0; j <= i; ++j) c(i, j) += av * b(j, kk);
           }
       } else {
-        // Wide: per element, one TA run per k block with a storage-width
-        // spill, matching the tiled chain (kSyrkKB below).
-        const index_t kb = std::min<index_t>(kSyrkKB, n);
-        for (index_t i = rlo; i < rhi; ++i)
+        for (index_t i = 0; i < m; ++i)
           for (index_t j = 0; j <= i; ++j)
-            for (index_t k0 = 0; k0 < n; k0 += kb) {
-              const index_t kn = std::min(kb, n - k0);
+            for (index_t k0 = 0; k0 < w; k0 += kSyrkKB) {
               TA s = static_cast<TA>(c(i, j));
-              for (index_t kk = k0; kk < k0 + kn; ++kk)
-                s += static_cast<TA>(alpha * a(i, kk)) *
-                     static_cast<TA>(a(j, kk));
+              for (index_t kk = k0; kk < std::min(w, k0 + kSyrkKB); ++kk)
+                s += static_cast<TA>(alpha * b(i, kk)) *
+                     static_cast<TA>(b(j, kk));
               c(i, j) = static_cast<T>(s);
             }
       }
-      return;
     }
-    const index_t band_h = rhi - rlo;
-    const index_t kb = std::min<index_t>(kSyrkKB, n);
+  } else {
+    // Blocks wider than kSyrkKB run one sub-chunk per step; narrower ones
+    // share steps, whole blocks only.
+    const index_t per_step = w >= kSyrkKB ? 1 : std::min(nblocks, kSyrkKB / w);
+    const index_t kc_max = std::min(kSyrkKB, per_step * w);
     Workspace& ws = Workspace::local();
     auto scratch = ws.frame();
-    T* apack = ws.get<T>(
-        static_cast<std::size_t>(detail::round_up(band_h, kMicroMR) * kb));
-    T* rpack = ws.get<T>(
-        static_cast<std::size_t>(detail::round_up(rhi, kMicroNR) * kb));
-    const bool simd =
-        detail::kernel_variant() == detail::KernelVariant::kSimd;
-    for (index_t k0 = 0; k0 < n; k0 += kb) {
-      const index_t kn = std::min(kb, n - k0);
-      // Right operand: columns j in [0, rhi) of A^T, i.e. rows of A.
-      detail::pack_b(at, k0, kn, 0, rhi, rpack);
-      detail::pack_a(a, rlo, band_h, k0, kn, alpha, apack);
-      for (index_t it = 0; it < band_h; it += kMicroMR) {
-        const index_t i0 = rlo + it;
-        const index_t mr = std::min(kMicroMR, band_h - it);
-        const T* ap = apack + it * kn;
-        const index_t jmax = i0 + mr - 1;  // widest valid column in tile
-        for (index_t jt = 0; jt <= jmax; jt += kMicroNR) {
-          const T* bp = rpack + jt * kn;
-          T* cp = c.data() + i0 * ldc + jt;
-          if (mr == kMicroMR && jt + kMicroNR - 1 <= i0) {
-            detail::mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
-          } else {
-            // Diagonal-crossing or edge tile: compute the full tile into a
-            // local buffer, store back only the lower-triangle entries.
-            T ctmp[kMicroMR * kMicroNR];
-            for (index_t r = 0; r < kMicroMR; ++r)
-              for (index_t j = 0; j < kMicroNR; ++j) {
-                const bool live = r < mr && jt + j <= i0 + r;
-                ctmp[r * kMicroNR + j] = live ? cp[r * ldc + j] : T(0);
-              }
-            detail::mk_tile<T, TA>(simd, kn, ap, bp, ctmp, kMicroNR);
-            for (index_t r = 0; r < mr; ++r) {
-              const index_t jn = std::min(kMicroNR, i0 + r - jt + 1);
-              for (index_t j = 0; j < jn; ++j)
-                cp[r * ldc + j] = ctmp[r * kMicroNR + j];
-            }
-          }
-        }
+    detail::SyrkSteps<T, TA> st{
+        a,
+        stride,
+        alpha,
+        c,
+        ws.get<T>(static_cast<std::size_t>(detail::round_up(m, kMicroMR) *
+                                           kc_max)),
+        ws.get<T>(static_cast<std::size_t>(detail::round_up(m, kMicroNR) *
+                                           kc_max)),
+        detail::kernel_variant() == detail::KernelVariant::kSimd};
+    for (index_t j = 0; j < nblocks; j += per_step) {
+      if (w > kSyrkKB) {
+        for (index_t k0 = 0; k0 < w; k0 += kSyrkKB)
+          st.step(j, k0, 1, std::min(kSyrkKB, w - k0));
+      } else {
+        st.step(j, 0, std::min(per_step, nblocks - j), w);
       }
     }
-  };
-
-  const double work = static_cast<double>(m) * (m + 1) * n;
-  if (parallel::this_thread_width() > 1 &&
-      work >= tune::par_flop_threshold() && m >= 4) {
-    // Band count from problem size only (not thread count): ~32k triangle
-    // elements per band, at most m bands.
-    const index_t area = m * (m + 1) / 2;
-    const index_t nbands =
-        std::clamp<index_t>(area / 32768 + 1, 1, std::min<index_t>(m, 64));
-    std::vector<index_t> bnd(static_cast<std::size_t>(nbands) + 1, 0);
-    for (index_t b = 1; b < nbands; ++b)
-      bnd[static_cast<std::size_t>(b)] = std::min<index_t>(
-          m, static_cast<index_t>(
-                 std::ceil(m * std::sqrt(static_cast<double>(b) / nbands))));
-    bnd[static_cast<std::size_t>(nbands)] = m;
-    parallel::parallel_for_chunks(
-        0, nbands, 1, [&](index_t band, index_t, index_t) {
-          run_band(bnd[static_cast<std::size_t>(band)],
-                   bnd[static_cast<std::size_t>(band) + 1]);
-        });
-    // Mirror in parallel too: row i of the upper triangle only reads
-    // already-final lower entries (the bands above finished at the barrier).
-    parallel::parallel_for(0, m, 64, [&](index_t rlo, index_t rhi) {
-      for (index_t i = rlo; i < rhi; ++i)
-        for (index_t j = i + 1; j < m; ++j) c(i, j) = c(j, i);
-    });
-    return;
   }
-
-  run_band(0, m);
   for (index_t i = 0; i < m; ++i)
     for (index_t j = i + 1; j < m; ++j) c(i, j) = c(j, i);
+}
+
+/// C = alpha * A * A^T + beta * C, with A m x n and C m x m: the one-block
+/// syrk_blocks. Computes the lower triangle with the register-tiled
+/// micro-kernel (the "B" operand is A^T, packed from the same matrix), then
+/// mirrors to the upper triangle (the Gram eigensolver wants the full
+/// symmetric matrix). TA as in gemm: wide accumulation spills at storage
+/// width per kSyrkKB-column sub-chunk.
+template <class T, class TA = T>
+void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
+  syrk_blocks<T, TA>(alpha, a, 1, 0, beta, c);
 }
 
 }  // namespace tucker::blas

@@ -17,9 +17,12 @@ namespace tucker::tensor {
 /// G = X_(n) X_(n)^T (I_n x I_n, symmetric). With Accum::kNative this is
 /// accumulated in working precision exactly like TuckerMPI's syrk-based
 /// implementation; Accum::kWide keeps the syrk register tiles in
-/// wide_t<T>, spilling at storage width once per k block *and* once per
-/// unfolding block (the block loop reuses G as its accumulator), which
-/// still cuts the Gram's forward error by ~the block depth.
+/// wide_t<T>, spilling at storage width once per kSyrkKB columns *and* once
+/// per unfolding block (sub-chunks never cross a block), which still cuts
+/// the Gram's forward error by ~the block depth. Either way the bits are
+/// those of one syrk per block, at every thread width: the middle modes run
+/// as one block-sequence syrk (blas::syrk_blocks), whose steps pack several
+/// narrow blocks at once and fan out over row bands.
 template <class T>
 blas::Matrix<T> gram_of_unfolding(const Tensor<T>& x, std::size_t n,
                                   Accum accum = Accum::kNative) {
@@ -32,11 +35,9 @@ blas::Matrix<T> gram_of_unfolding(const Tensor<T>& x, std::size_t n,
     if (n == 0) {
       blas::syrk<T, TA>(T(1), unfolding_mode0(x), T(0), g.view());
     } else {
-      const index_t nblocks = unfolding_num_blocks(x, n);
-      for (index_t j = 0; j < nblocks; ++j) {
-        blas::syrk<T, TA>(T(1), unfolding_block(x, n, j),
-                          j == 0 ? T(0) : T(1), g.view());
-      }
+      const MatView<const T> b0 = unfolding_block(x, n, 0);
+      blas::syrk_blocks<T, TA>(T(1), b0, unfolding_num_blocks(x, n),
+                               b0.rows() * b0.cols(), T(0), g.view());
     }
   };
   if (accum == Accum::kWide) {

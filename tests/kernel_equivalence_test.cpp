@@ -13,6 +13,8 @@
 //    stashed ping-pong scratch;
 //  - the TensorLQ tree keeps the caller's arena below half the unfolding,
 //    and a warm call's heap use does not grow with its leaf count;
+//  - a warm Gram of a many-block middle mode makes no per-block heap
+//    allocation at width 4, and only its returned matrix at width 1;
 //  - sthosvd output is bitwise identical across kernel variants and thread
 //    counts.
 
@@ -34,6 +36,7 @@
 #include "common/workspace.hpp"
 #include "core/sthosvd.hpp"
 #include "data/synthetic_tensor.hpp"
+#include "tensor/gram.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_lq.hpp"
 #include "tensor/ttm.hpp"
@@ -552,6 +555,30 @@ TEST(TensorLqMemoryTest, WarmMultiLeafCallAllocatesNoMoreThanSingleLeaf) {
     (void)tucker::tensor::tensor_lq(multi, n);
     const long a2 = g_live_allocs.load();
     EXPECT_LE(a2 - a1, a1 - a0) << "mode " << n;
+  }
+}
+
+// ------------------------------------------------------- Gram heap use
+
+TEST(ZeroAllocTest, WarmMiddleModeGramHasNoPerBlockHeap) {
+  // Mode 1 of {32, 64, 12, 10} is 120 blocks of 32 columns. A warm call
+  // allocates its returned G and, at width 4, one pool fanout record per
+  // fanout (pack and bands per 8-block step); nothing per block.
+  ThreadsGuard threads;
+  const auto x = tucker::data::random_tensor<double>({32, 64, 12, 10}, 38);
+  const index_t nblocks = tucker::tensor::unfolding_num_blocks(x, 1);
+  ASSERT_EQ(nblocks, 120);
+  for (int width : {4, 1}) {
+    tucker::parallel::set_max_threads(width);
+    (void)tucker::tensor::gram_of_unfolding(x, 1);  // warms the arena
+    const long a0 = g_live_allocs.load();
+    (void)tucker::tensor::gram_of_unfolding(x, 1);
+    const long allocs = g_live_allocs.load() - a0;
+    if (width == 1) {
+      EXPECT_EQ(allocs, 1) << "width 1: only the returned matrix";
+    } else {
+      EXPECT_LT(allocs, nblocks / 2) << "width " << width;
+    }
   }
 }
 

@@ -208,24 +208,32 @@ TEST_F(ParallelTest, GemmBitwiseAcrossThreadCountsDouble) {
 
 template <class T>
 void syrk_bitwise_sweep() {
-  auto a = rand_mat<T>(61, 350, 3);
-  std::vector<Matrix<T>> gs, gps;
-  for (int w : kSweep) {
-    set_max_threads(w);
-    Matrix<T> g(61, 61);
-    tucker::blas::syrk(T(1), MatView<const T>(a.view()), T(0), g.view());
-    gs.push_back(std::move(g));
-    // Strided-A (pack) path via a transposed view of a column-major copy.
-    std::vector<T> buf(static_cast<std::size_t>(61 * 350));
-    auto acm = MatView<T>::col_major(buf.data(), 350, 61);
-    tucker::blas::copy(MatView<const T>(a.view().t()), acm);
-    Matrix<T> gp(61, 61);
-    tucker::blas::syrk(T(1), MatView<const T>(acm.t()), T(0), gp.view());
-    gps.push_back(std::move(gp));
-  }
-  for (std::size_t i = 1; i < gs.size(); ++i) {
-    EXPECT_TRUE(same_bits(gs[0], gs[i])) << "threads " << kSweep[i];
-    EXPECT_TRUE(same_bits(gps[0], gps[i])) << "threads " << kSweep[i];
+  // Each shape fans out over row bands of shared packed panels: 61 x 350
+  // into 3 bands (its 94-column remainder step into 1), 126 x 3000 into
+  // 15, and 300 x 700 into the 16-band cap.
+  for (auto [m, n] : {std::pair<index_t, index_t>{61, 350}, {126, 3000},
+                      {300, 700}}) {
+    auto a = rand_mat<T>(m, n, 3);
+    std::vector<Matrix<T>> gs, gps;
+    for (int w : kSweep) {
+      set_max_threads(w);
+      Matrix<T> g(m, m);
+      tucker::blas::syrk(T(1), MatView<const T>(a.view()), T(0), g.view());
+      gs.push_back(std::move(g));
+      // Strided-A (pack) path via a transposed view of a column-major copy.
+      std::vector<T> buf(static_cast<std::size_t>(m * n));
+      auto acm = MatView<T>::col_major(buf.data(), n, m);
+      tucker::blas::copy(MatView<const T>(a.view().t()), acm);
+      Matrix<T> gp(m, m);
+      tucker::blas::syrk(T(1), MatView<const T>(acm.t()), T(0), gp.view());
+      gps.push_back(std::move(gp));
+    }
+    for (std::size_t i = 1; i < gs.size(); ++i) {
+      EXPECT_TRUE(same_bits(gs[0], gs[i]))
+          << m << "x" << n << " threads " << kSweep[i];
+      EXPECT_TRUE(same_bits(gps[0], gps[i]))
+          << m << "x" << n << " threads " << kSweep[i];
+    }
   }
 }
 

@@ -356,6 +356,15 @@ class StreamDriverTest : public ::testing::Test {
   int initial_ = parallel::max_threads();
 };
 
+// Sets the pool width for a scope and restores the width it found.
+struct WidthGuard {
+  explicit WidthGuard(int width) { parallel::set_max_threads(width); }
+  ~WidthGuard() { parallel::set_max_threads(saved); }
+  WidthGuard(const WidthGuard&) = delete;
+  WidthGuard& operator=(const WidthGuard&) = delete;
+  int saved = parallel::max_threads();
+};
+
 TEST_F(StreamDriverTest, FittingSourceDelegatesBitwise) {
   auto x = decaying_tensor({10, 9, 8}, 1e-7, 41);
   const auto spec = core::TruncationSpec::tolerance(1e-4);
@@ -559,7 +568,11 @@ TEST_F(StreamDriverTest, DecomposesEightTimesTheBudgetWithinArenaBound) {
   EXPECT_GT(out.slabs_read, src.num_slabs());
 
   // The in-memory driver on the same tensor: same compression error, much
-  // larger arena peak (it factors whole unfoldings).
+  // larger arena peak (it factors whole unfoldings). Measured at width 1:
+  // wider, the TSQR tree's leaves run partly on pool workers, whose scratch
+  // this thread's arena mark does not see, so the mark would depend on
+  // which leaves the caller happened to claim.
+  const WidthGuard one_thread(1);
   ws.reset_high_water();
   auto ref = core::sthosvd(x, spec, core::SvdMethod::kQr);
   const std::size_t inmem_hwm = ws.high_water();

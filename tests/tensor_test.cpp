@@ -1,11 +1,13 @@
 // Unit tests for the tensor layer: layout, unfolding views, TTM, Gram of
-// unfoldings, and TensorLQ (paper Alg 2) with its in-node TSQR tree.
+// unfoldings (bitwise against its serial chain at every width), and
+// TensorLQ (paper Alg 2) with its in-node TSQR tree.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -206,6 +208,116 @@ TEST_P(GramModeTest, MatchesDenseUnfoldingGram) {
 INSTANTIATE_TEST_SUITE_P(Modes, GramModeTest,
                          ::testing::Values(0u, 1u, 2u, 3u));
 
+// ------------------------------------------------------------ Gram bands
+
+// Restores the pool width the test found on entry.
+struct ThreadsGuard {
+  int saved = parallel::max_threads();
+  ~ThreadsGuard() { parallel::set_max_threads(saved); }
+};
+
+// Restores the micro-kernel variant the test found on entry.
+struct VariantGuard {
+  blas::detail::KernelVariant saved = blas::detail::kernel_variant();
+  ~VariantGuard() { blas::detail::kernel_variant() = saved; }
+};
+
+template <class T>
+bool same_bits(const Matrix<T>& a, const Matrix<T>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(T) * static_cast<std::size_t>(a.rows()) *
+                         static_cast<std::size_t>(a.cols())) == 0;
+}
+
+/// The serial chain every Gram element keeps, written out: blocks in order
+/// (mode 0 is one block), each cut into kSyrkKB-column sub-chunks, each
+/// sub-chunk one TA run c += (alpha * a(i,k)) * a(j,k) that is rounded to
+/// storage at its end. With TA = T the rounding is a no-op.
+template <class T, class TA>
+Matrix<T> gram_chain(const Tensor<T>& x, std::size_t n) {
+  constexpr index_t kb = blas::detail::kSyrkKB;
+  const index_t m = x.dim(n);
+  const index_t before = tensor::prod_before(x.dims(), n);
+  const index_t after = tensor::prod_after(x.dims(), n);
+  const index_t width = n == 0 ? after : before;
+  const index_t nblocks = n == 0 ? 1 : after;
+  Matrix<T> g(m, m);
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = 0; j <= i; ++j) {
+      T c = T(0);
+      for (index_t b = 0; b < nblocks; ++b)
+        for (index_t k0 = 0; k0 < width; k0 += kb) {
+          TA s = static_cast<TA>(c);
+          for (index_t k = k0; k < std::min(width, k0 + kb); ++k) {
+            const T ai = tensor::unfolding_entry(x, n, i, b * width + k);
+            const T aj = tensor::unfolding_entry(x, n, j, b * width + k);
+            s += static_cast<TA>(T(1) * ai) * static_cast<TA>(aj);
+          }
+          c = static_cast<T>(s);
+        }
+      g(i, j) = g(j, i) = c;
+    }
+  return g;
+}
+
+/// gram_of_unfolding(x, n) equals the written-out chain bit for bit at
+/// widths {1, 2, 3, 4, 7}, under both kernel variants and both
+/// accumulators.
+template <class T>
+void expect_gram_chain(const Tensor<T>& x, std::size_t n) {
+  using blas::detail::KernelVariant;
+  ThreadsGuard threads;
+  VariantGuard variant;
+  const Matrix<T> native = gram_chain<T, T>(x, n);
+  const Matrix<T> wide = gram_chain<T, wide_t<T>>(x, n);
+  for (int width : {1, 2, 3, 4, 7}) {
+    parallel::set_max_threads(width);
+    for (KernelVariant v : {KernelVariant::kSimd, KernelVariant::kScalar}) {
+      blas::detail::kernel_variant() = v;
+      EXPECT_TRUE(same_bits(tensor::gram_of_unfolding(x, n), native))
+          << "native, mode " << n << " m " << x.dim(n) << " width " << width
+          << " variant " << static_cast<int>(v);
+      EXPECT_TRUE(
+          same_bits(tensor::gram_of_unfolding(x, n, Accum::kWide), wide))
+          << "wide, mode " << n << " m " << x.dim(n) << " width " << width
+          << " variant " << static_cast<int>(v);
+    }
+  }
+}
+
+/// Runs expect_gram_chain on mode n of a random tensor per dims, in fp32
+/// and fp64. Each dims list puts m = 37 or m = 126 (neither a multiple of
+/// MR nor of NR) in mode n.
+void expect_gram_chains(std::initializer_list<Dims> shapes, std::size_t n) {
+  for (const Dims& dims : shapes) {
+    expect_gram_chain(data::random_tensor<float>(dims, 401), n);
+    expect_gram_chain(data::random_tensor<double>(dims, 402), n);
+  }
+}
+
+TEST(GramBands, Mode0) {
+  // One 600-column block: two full sub-chunks and an 88-column remainder.
+  expect_gram_chains({{126, 30, 20}, {37, 25, 24}}, 0);
+}
+
+TEST(GramBands, MiddleModeNarrowBlocksShareSteps) {
+  // 21-column blocks: 12 per step, the last step holds 6.
+  ASSERT_GT(blas::detail::kSyrkKB / 21, 1);
+  expect_gram_chains({{21, 126, 30}, {21, 37, 30}}, 1);
+}
+
+TEST(GramBands, MiddleModeWideBlocksLeaveRemainder) {
+  // 300-column blocks: a full sub-chunk and a 44-column remainder each.
+  ASSERT_GT(300, blas::detail::kSyrkKB);
+  ASSERT_NE(300 % blas::detail::kSyrkKB, 0);
+  expect_gram_chains({{300, 126, 3}, {300, 37, 3}}, 1);
+}
+
+TEST(GramBands, LastMode) {
+  expect_gram_chains({{20, 30, 126}, {20, 30, 37}}, 2);
+}
+
 // --------------------------------------------------------------- TensorLQ
 
 class TensorLqModeTest : public ::testing::TestWithParam<std::size_t> {};
@@ -289,19 +401,6 @@ TEST(TensorLqTest, SingularValuesMatchGramEigenvalues) {
 }
 
 // ---------------------------------------------------------- TensorLQ tree
-
-// Restores the pool width the test found on entry.
-struct ThreadsGuard {
-  int saved = parallel::max_threads();
-  ~ThreadsGuard() { parallel::set_max_threads(saved); }
-};
-
-bool same_bits(const Matrix<double>& a, const Matrix<double>& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(double) * static_cast<std::size_t>(a.rows()) *
-                         static_cast<std::size_t>(a.cols())) == 0;
-}
 
 /// L from the tree must be bitwise equal at every pool width and satisfy
 /// L L^T = X_(n) X_(n)^T.

@@ -43,17 +43,10 @@ struct ParSthosvdResult {
   std::vector<std::size_t> order;
   double norm_squared = 0;
 
-  /// Guaranteed relative-error estimate from the discarded tail energies
-  /// (identical on every rank; see SthosvdResult::estimated_relative_error).
+  /// Certified bound from the discarded tails, identical on every rank;
+  /// see the free core::estimated_relative_error in truncation.hpp.
   double estimated_relative_error() const {
-    double tail = 0;
-    for (std::size_t n = 0; n < mode_sigmas.size(); ++n) {
-      const auto& sig = mode_sigmas[n];
-      for (std::size_t i = static_cast<std::size_t>(ranks[n]);
-           i < sig.size(); ++i)
-        tail += static_cast<double>(sig[i]) * static_cast<double>(sig[i]);
-    }
-    return norm_squared > 0 ? std::sqrt(tail / norm_squared) : 0.0;
+    return core::estimated_relative_error(mode_sigmas, ranks, norm_squared);
   }
 
   /// Assembles a sequential TuckerTensor on rank 0 (rank 0 only; other
@@ -139,11 +132,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
   const std::size_t nmodes = x.order();
   mpi::Comm& world = x.world();
   if (order.empty()) order = forward_order(nmodes);
-  TUCKER_CHECK(order.size() == nmodes,
-               "par_sthosvd: order must list every mode");
-  if (spec.is_fixed_rank())
-    TUCKER_CHECK(spec.ranks.size() == nmodes,
-                 "par_sthosvd: fixed-rank spec needs one rank per mode");
+  check_spec_and_order(spec, order, nmodes);
   const bool overlap = ov.enabled;
   const std::size_t window =
       (overlap && method == SvdMethod::kRand)
@@ -155,10 +144,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
     auto rg = world.region("norm");
     norm_sq = x.norm_squared();
   }
-  const double threshold_sq =
-      spec.is_fixed_rank() ? 0
-                           : spec.epsilon * spec.epsilon * norm_sq /
-                                 static_cast<double>(nmodes);
+  const double threshold_sq = spec.budget_sq(norm_sq, nmodes);
 
   // The truncation chain cycles through data-less clones of the input so
   // each slot's local allocation is reused and the input is never copied.
@@ -182,14 +168,12 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
   std::vector<std::size_t> actual_order;
   actual_order.reserve(nmodes);
 
-  // Truncates *ycur along mode n by the leading r columns of u and
-  // advances the chain, keeping slot `frozen` untouched.
-  auto truncate_mode = [&](std::size_t n, const blas::Matrix<T>& u,
-                           blas::index_t r, int frozen,
-                           const std::string& label) {
-    const index_t m = ycur->global_dim(n);
-    blas::Matrix<T> un(m, r);
-    blas::copy(blas::MatView<const T>(u.view().block(0, 0, m, r)), un.view());
+  // Truncates *ycur along mode n by its SVD and advances the chain,
+  // keeping slot `frozen` untouched.
+  auto truncate = [&](std::size_t n, const ModeSvd<T>& svd, int frozen) {
+    const std::string label = "mode" + std::to_string(n);
+    blas::Matrix<T> un = truncate_mode(svd, spec, n, threshold_sq,
+                                       mode_sigmas[n], ranks[n]);
     const int dst = next_slot(cur, frozen);
     {
       auto rg = world.region(label + "/TTM");
@@ -236,23 +220,9 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
       }
       const std::vector<std::size_t> sched =
           detail::sketch_finalize_schedule(ysrc, order, pos, nwin, spec, ropt);
-      for (std::size_t i : sched) {
-        const std::size_t n = order[pos + i];
-        const std::string label = "mode" + std::to_string(n);
-        auto basis = dist::finalize_mode_sketch(ysrc, sk[i]);
-        mode_sigmas[n].resize(basis.sigma_sq.size());
-        for (std::size_t j = 0; j < basis.sigma_sq.size(); ++j)
-          mode_sigmas[n][j] = std::sqrt(basis.sigma_sq[j]);
-        blas::index_t r;
-        if (spec.is_fixed_rank()) {
-          r = std::min(spec.ranks[n], basis.u.cols());
-        } else {
-          r = std::min(select_rank(basis.sigma_sq, threshold_sq),
-                       basis.u.cols());
-        }
-        ranks[n] = r;
-        truncate_mode(n, basis.u, r, src_slot, label);
-      }
+      for (std::size_t i : sched)
+        truncate(order[pos + i], dist::finalize_mode_sketch(ysrc, sk[i]),
+                 src_slot);
       pos += nwin;
       continue;
     }
@@ -263,8 +233,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
 
     // SVD of the unfolding: squared singular values + left vectors,
     // identical on every rank.
-    std::vector<T> sigma_sq;
-    blas::Matrix<T> u;
+    ModeSvd<T> svd;
     if (method == SvdMethod::kGram) {
       blas::Matrix<T> g(0, 0);
       {
@@ -273,20 +242,15 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
                            accum);
       }
       auto rg = world.region(label + "/EVD");
-      auto eig = la::tridiag_eig(blas::MatView<const T>(g.view()));
+      svd = svd_of_gram(g);
       world.sync_cpu_clock();
-      sigma_sq.reserve(eig.lambda.size());
-      for (T lam : eig.lambda) sigma_sq.push_back(std::abs(lam));
-      u = std::move(eig.v);
     } else if (method == SvdMethod::kRand) {
       // par_rand_svd opens its own label+"/Sketch" and label+"/SVD"
       // regions (the adaptive loop interleaves the two phases).
-      auto basis = dist::par_rand_svd(
+      svd = dist::par_rand_svd(
           y, n, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
           threshold_sq, ropt.oversample, ropt.power_iters, ropt.seed,
           ropt.rank_guess, label, accum);
-      sigma_sq = std::move(basis.sigma_sq);
-      u = std::move(basis.u);
     } else {
       // kQr and kStream both land here: the distributed butterfly TSQR of
       // par_tensor_lq *is* a hierarchical triangle merge (the same tplqt
@@ -298,25 +262,10 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
         l = dist::par_tensor_lq(y, n);
       }
       auto rg = world.region(label + "/SVD");
-      auto svd = la::bidiag_svd(blas::MatView<const T>(l.view()));
+      svd = svd_of_l(std::move(l), SmallSvdBackend::kAuto);
       world.sync_cpu_clock();
-      sigma_sq.reserve(svd.sigma.size());
-      for (T s : svd.sigma) sigma_sq.push_back(s * s);
-      u = std::move(svd.u);
     }
-
-    mode_sigmas[n].resize(sigma_sq.size());
-    for (std::size_t i = 0; i < sigma_sq.size(); ++i)
-      mode_sigmas[n][i] = std::sqrt(sigma_sq[i]);
-
-    blas::index_t r;
-    if (spec.is_fixed_rank()) {
-      r = std::min(spec.ranks[n], u.cols());
-    } else {
-      r = std::min(select_rank(sigma_sq, threshold_sq), u.cols());
-    }
-    ranks[n] = r;
-    truncate_mode(n, u, r, /*frozen=*/-1, label);
+    truncate(n, svd, /*frozen=*/-1);
   }
 
   dist::DistTensor<T> core =

@@ -3,6 +3,7 @@
 // (Gram-SVD / QR-SVD), working precision (T), truncation (tolerance or
 // fixed ranks) and mode ordering.
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <numeric>
@@ -30,6 +31,27 @@ inline std::vector<std::size_t> backward_order(std::size_t n) {
   std::vector<std::size_t> o(n);
   for (std::size_t k = 0; k < n; ++k) o[k] = n - 1 - k;
   return o;
+}
+
+/// True iff `order` lists each mode of an nmodes-way tensor exactly once.
+inline bool is_mode_order(const std::vector<std::size_t>& order,
+                          std::size_t nmodes) {
+  const std::vector<std::size_t> modes = forward_order(nmodes);
+  return order.size() == nmodes &&
+         std::is_permutation(order.begin(), order.end(), modes.begin());
+}
+
+/// The fail-fast checks every ST-HOSVD runs before its mode loop: a
+/// fixed-rank spec names one rank per mode, and the order is a
+/// permutation of the modes (the loops index ranks, dims and factors by
+/// it).
+inline void check_spec_and_order(const TruncationSpec& spec,
+                                 const std::vector<std::size_t>& order,
+                                 std::size_t nmodes) {
+  TUCKER_CHECK(!spec.is_fixed_rank() || spec.ranks.size() == nmodes,
+               "fixed-rank spec needs one rank per mode");
+  TUCKER_CHECK(is_mode_order(order, nmodes),
+               "order must be a permutation of the modes");
 }
 
 /// Modeled flops for processing one mode of the current (partially
@@ -117,8 +139,11 @@ inline double modeled_sthosvd_flops(const tensor::Dims& dims,
                                     const std::vector<std::size_t>& order,
                                     SvdMethod method,
                                     const RandSvdOptions& ropt = {}) {
-  TUCKER_CHECK(ranks.size() == dims.size() && order.size() == dims.size(),
-               "modeled_sthosvd_flops: need one rank and order slot per mode");
+  TUCKER_CHECK(ranks.size() == dims.size(),
+               "modeled_sthosvd_flops: need one rank per mode");
+  TUCKER_CHECK(is_mode_order(order, dims.size()),
+               "modeled_sthosvd_flops: order must be a permutation of the "
+               "modes");
   tensor::Dims cur = dims;
   double total = 0;
   for (std::size_t n : order) {
@@ -206,23 +231,33 @@ struct SthosvdResult {
   /// ||X||^2 of the input (used for the truncation threshold).
   double norm_squared = 0;
 
-  /// Guaranteed relative-error estimate from the discarded tail energies:
-  /// sqrt(sum_n sum_{i >= R_n} sigma_{n,i}^2) / ||X|| -- what ST-HOSVD can
-  /// certify without reconstructing (TuckerMPI reports the same bound).
-  /// Exact in exact arithmetic; in floating point it is as trustworthy as
-  /// the computed singular values (i.e. down to eps for QR-SVD and sqrt(eps)
-  /// for Gram-SVD, the paper's Sec 3.2).
+  /// Certified bound from the discarded tails; see the free
+  /// core::estimated_relative_error in truncation.hpp.
   double estimated_relative_error() const {
-    double tail = 0;
-    for (std::size_t n = 0; n < mode_sigmas.size(); ++n) {
-      const auto& sig = mode_sigmas[n];
-      for (std::size_t i = static_cast<std::size_t>(ranks[n]);
-           i < sig.size(); ++i)
-        tail += static_cast<double>(sig[i]) * static_cast<double>(sig[i]);
-    }
-    return norm_squared > 0 ? std::sqrt(tail / norm_squared) : 0.0;
+    return core::estimated_relative_error(mode_sigmas, ranks, norm_squared);
   }
 };
+
+/// One mode of Alg 1 on a resident tensor: the engine's SVD of y's mode-n
+/// unfolding, truncate_mode, and Y x_n U^T into `next`. sthosvd and the
+/// resident finish of stream_sthosvd both run it, so they agree bit for
+/// bit.
+template <class T>
+void sthosvd_mode(const tensor::Tensor<T>& y, std::size_t n,
+                  const TruncationSpec& spec, SvdMethod method,
+                  double threshold_sq, const RandSvdOptions& ropt,
+                  Accum accum, SthosvdResult<T>& out,
+                  tensor::Tensor<T>& next) {
+  // The randomized engine needs the truncation context (target rank or
+  // energy budget) to size its sketch; Gram/QR ignore both extras.
+  const ModeSvd<T> svd = mode_svd(
+      y, n, method, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
+      threshold_sq, ropt, accum);
+  blas::Matrix<T> u = truncate_mode(svd, spec, n, threshold_sq,
+                                    out.mode_sigmas[n], out.ranks[n]);
+  tensor::ttm_into(y, n, blas::MatView<const T>(u.view().t()), next, accum);
+  out.tucker.factors[n] = std::move(u);
+}
 
 /// Runs ST-HOSVD on x. `order` may be empty (forward). In tolerance mode
 /// the result satisfies ||X - Xhat|| <= eps ||X|| up to the numerical
@@ -235,21 +270,15 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
                          Accum accum = Accum::kNative) {
   const std::size_t nmodes = x.order();
   if (order.empty()) order = forward_order(nmodes);
-  TUCKER_CHECK(order.size() == nmodes, "sthosvd: order must list every mode");
-  if (spec.is_fixed_rank())
-    TUCKER_CHECK(spec.ranks.size() == nmodes,
-                 "sthosvd: fixed-rank spec needs one rank per mode");
+  check_spec_and_order(spec, order, nmodes);
 
   SthosvdResult<T> out;
   out.order = order;
   out.mode_sigmas.resize(nmodes);
   out.ranks.assign(nmodes, 0);
   out.norm_squared = x.norm_squared();
-  const double threshold_sq =
-      spec.is_fixed_rank()
-          ? 0
-          : spec.epsilon * spec.epsilon * out.norm_squared /
-                static_cast<double>(nmodes);
+  out.tucker.factors.resize(nmodes);
+  const double threshold_sq = spec.budget_sq(out.norm_squared, nmodes);
 
   // The truncation chain ping-pongs between two stashed scratch tensors
   // (mode k reads the output of mode k-1), so repeated sthosvd calls reuse
@@ -257,40 +286,12 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
   auto& pp = Workspace::local().stash<std::array<tensor::Tensor<T>, 2>>(
       "core.sthosvd.pingpong");
   const tensor::Tensor<T>* ycur = &x;
-  int slot = 0;
-  out.tucker.factors.resize(nmodes);
-  for (std::size_t pos = 0; pos < nmodes; ++pos) {
-    const std::size_t n = order[pos];
-    const tensor::Tensor<T>& y = *ycur;
-    // The randomized engine needs the truncation context (target rank or
-    // energy budget) to size its sketch; Gram/QR ignore both extras.
-    ModeSvd<T> svd = mode_svd(
-        y, n, method, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
-        threshold_sq, ropt, accum);
-
-    std::vector<T>& sig = out.mode_sigmas[n];
-    sig.resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sig.size(); ++i)
-      sig[i] = std::sqrt(svd.sigma_sq[i]);
-
-    blas::index_t r;
-    if (spec.is_fixed_rank()) {
-      r = std::min(spec.ranks[n], svd.u.cols());
-    } else {
-      r = std::min(select_rank(svd.sigma_sq, threshold_sq), svd.u.cols());
-    }
-    out.ranks[n] = r;
-
-    // Factor matrix: leading r left singular vectors.
-    blas::Matrix<T> u(y.dim(n), r);
-    blas::copy(blas::MatView<const T>(svd.u.view().block(0, 0, y.dim(n), r)),
-               u.view());
-    // Truncate: Y <- Y x_n U^T, into the other ping-pong slot.
-    tensor::ttm_into(y, n, blas::MatView<const T>(u.view().t()), pp[slot],
-                     accum);
-    ycur = &pp[static_cast<std::size_t>(slot)];
+  std::size_t slot = 0;
+  for (std::size_t n : order) {
+    sthosvd_mode(*ycur, n, spec, method, threshold_sq, ropt, accum, out,
+                 pp[slot]);
+    ycur = &pp[slot];
     slot ^= 1;
-    out.tucker.factors[n] = std::move(u);
   }
   // Copy (not move) the final slot so the stashed scratch stays warm for
   // the next call.

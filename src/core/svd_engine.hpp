@@ -35,7 +35,6 @@
 #include "common/workspace.hpp"
 #include "core/truncation.hpp"
 #include "lapack/bidiag_svd.hpp"
-#include "lapack/eig.hpp"
 #include "lapack/qr.hpp"
 #include "lapack/svd.hpp"
 #include "common/tuning.hpp"
@@ -69,39 +68,26 @@ inline std::string_view method_name(SvdMethod m) {
   return "?";  // unreachable; silences -Wreturn-type
 }
 
-/// Result of the truncated-SVD step for one mode.
+/// Eigendecomposition of a Gram matrix G = X X^T as the SVD of X:
+/// Householder tridiagonalization + implicit QL (the syev-style pair
+/// TuckerMPI calls), sigma_i^2 = |lambda_i|. The shared back half of
+/// gram_svd and the distributed and out-of-core Gram paths.
 template <class T>
-struct ModeSvd {
-  /// Squared singular values of the unfolding, descending. Gram-SVD reports
-  /// |lambda_i|; QR-SVD reports sigma_i^2. Stored in working precision: the
-  /// rank-selection noise floor is part of the behaviour under study.
-  std::vector<T> sigma_sq;
-  /// Left singular vectors: I_n x (number of reported values).
-  blas::Matrix<T> u;
-};
-
-/// Dense eigensolver used on the Gram matrix: Householder
-/// tridiagonalization + implicit QL (the syev-style pair TuckerMPI calls;
-/// default) or cyclic Jacobi. The sqrt(eps) accuracy floor comes from
-/// forming the Gram matrix, so the backends behave identically for the
-/// paper's purposes (bench/ablation_solvers demonstrates this).
-enum class EvdBackend { kJacobi, kTridiagonalQl };
-
-/// SVD of the mode-n unfolding via the Gram matrix (TuckerMPI's Alg 2 +
-/// symmetric eigensolver).
-template <class T>
-ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
-                    EvdBackend backend = EvdBackend::kTridiagonalQl,
-                    Accum accum = Accum::kNative) {
-  blas::Matrix<T> g = tensor::gram_of_unfolding(y, n, accum);
-  auto eig = backend == EvdBackend::kTridiagonalQl
-                 ? la::tridiag_eig(blas::MatView<const T>(g.view()))
-                 : la::jacobi_eig(blas::MatView<const T>(g.view()));
+ModeSvd<T> svd_of_gram(const blas::Matrix<T>& g) {
+  auto eig = la::tridiag_eig(blas::MatView<const T>(g.view()));
   ModeSvd<T> out;
   out.sigma_sq.reserve(eig.lambda.size());
   for (T lam : eig.lambda) out.sigma_sq.push_back(std::abs(lam));
   out.u = std::move(eig.v);
   return out;
+}
+
+/// SVD of the mode-n unfolding via the Gram matrix (TuckerMPI's Alg 2 +
+/// symmetric eigensolver).
+template <class T>
+ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
+                    Accum accum = Accum::kNative) {
+  return svd_of_gram(tensor::gram_of_unfolding(y, n, accum));
 }
 
 /// Dense solver used for the small SVD of the triangular factor:
@@ -319,7 +305,7 @@ ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
                     Accum accum = Accum::kNative) {
   switch (method) {
     case SvdMethod::kGram:
-      return gram_svd(y, n, EvdBackend::kTridiagonalQl, accum);
+      return gram_svd(y, n, accum);
     case SvdMethod::kQr:
       return qr_svd(y, n);
     case SvdMethod::kRand:
@@ -329,14 +315,6 @@ ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
   }
   TUCKER_CHECK(false, "mode_svd: unknown method");
   return {};
-}
-
-/// Context-free dispatch; kRand falls back to a full-width sketch (no cost
-/// advantage -- callers wanting truncation should use the overload above).
-template <class T>
-ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method) {
-  return mode_svd(y, n, method, method == SvdMethod::kRand ? y.dim(n) : 0,
-                  0.0);
 }
 
 }  // namespace tucker::core

@@ -481,15 +481,6 @@ DistTensor<T> par_ttm_truncate(const DistTensor<T>& x, std::size_t n,
   return out;
 }
 
-/// Result of the distributed randomized mode SVD: the sketched spectrum
-/// (w squared singular values plus the trailing residual pseudo-entry, see
-/// core::rand_svd) and the m x w left-basis matrix, replicated.
-template <class T>
-struct ParSvdBasis {
-  std::vector<T> sigma_sq;
-  blas::Matrix<T> u;
-};
-
 // The distributed randomized range-finder SVD is split into a dispatch
 // half (sketch + slice reduction) and a finalize half (everything after),
 // so the mode-parallel driver can keep several modes' sketches in flight;
@@ -630,12 +621,14 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
 /// all against the SAME tensor the sketch was dispatched from. The
 /// collective sequence is identical to the historic single-call
 /// par_rand_svd, so dispatch+finalize back to back is bitwise-identical
-/// to it (and to itself across thread widths and reruns).
+/// to it (and to itself across thread widths and reruns). Returns the
+/// sketched spectrum (w squared singular values plus the trailing residual
+/// pseudo-entry, see core::rand_svd) and the m x w left basis, replicated.
 template <class T>
-ParSvdBasis<T> finalize_mode_sketch(const DistTensor<T>& y,
-                                    ModeSketchState<T>& st) {
+core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
+                                      ModeSketchState<T>& st) {
   mpi::Comm& world = y.world();
-  ParSvdBasis<T> out;
+  core::ModeSvd<T> out;
   if (st.empty) {
     out.u = blas::Matrix<T>(st.m, 0);
     return out;
@@ -822,12 +815,12 @@ ParSvdBasis<T> finalize_mode_sketch(const DistTensor<T>& y,
 /// a fixed grid. Compute regions are tagged label+"/Sketch" and
 /// label+"/SVD".
 template <class T>
-ParSvdBasis<T> par_rand_svd(const DistTensor<T>& y, std::size_t n,
-                            index_t fixed_rank, double threshold_sq,
-                            index_t oversample, int power_iters,
-                            std::uint64_t seed, index_t rank_guess,
-                            const std::string& label,
-                            Accum accum = Accum::kNative) {
+core::ModeSvd<T> par_rand_svd(const DistTensor<T>& y, std::size_t n,
+                              index_t fixed_rank, double threshold_sq,
+                              index_t oversample, int power_iters,
+                              std::uint64_t seed, index_t rank_guess,
+                              const std::string& label,
+                              Accum accum = Accum::kNative) {
   ModeSketchState<T> st;
   dispatch_mode_sketch(y, n, fixed_rank, threshold_sq, oversample,
                        power_iters, seed, rank_guess, label,

@@ -262,9 +262,7 @@ StreamSthosvdResult<T> stream_sthosvd(
     const StreamOptions& opt = {}) {
   const std::size_t nmodes = src.dims().size();
   TUCKER_CHECK(nmodes >= 2, "stream_sthosvd: need at least two modes");
-  if (spec.is_fixed_rank())
-    TUCKER_CHECK(spec.ranks.size() == nmodes,
-                 "stream_sthosvd: fixed-rank spec needs one rank per mode");
+  core::check_spec_and_order(spec, core::forward_order(nmodes), nmodes);
   const std::size_t t = nmodes - 1;
   const std::size_t budget =
       opt.chunk_bytes != 0 ? opt.chunk_bytes : tune::stream_chunk_bytes();
@@ -318,7 +316,6 @@ StreamSthosvdResult<T> stream_sthosvd(
 
   for (std::size_t pos = 0; pos < nmodes; ++pos) {
     const std::size_t n = pos;  // forward order
-    const bool fixed = spec.is_fixed_rank();
 
     if (!is_resident && bytes_of(cur_dims) <= half) {
       // The shrinking tensor now fits: gather and finish in memory.
@@ -332,29 +329,12 @@ StreamSthosvdResult<T> stream_sthosvd(
     }
 
     if (is_resident) {
-      // Classic in-memory mode step, with the threshold derived from the
+      // sthosvd's own mode step, with the threshold derived from the
       // slab-accumulated ||X||^2 (not recomputed from the shrunken data).
-      core::ModeSvd<T> svd = core::mode_svd(
-          resident, n, detail::resident_method(method),
-          fixed ? spec.ranks[n] : index_t{0}, threshold_sq, opt.rand);
-      std::vector<T>& sig = res.mode_sigmas[n];
-      sig.resize(svd.sigma_sq.size());
-      for (std::size_t i = 0; i < sig.size(); ++i)
-        sig[i] = std::sqrt(svd.sigma_sq[i]);
-      const index_t r =
-          fixed ? std::min(spec.ranks[n], svd.u.cols())
-                : std::min(core::select_rank(svd.sigma_sq, threshold_sq),
-                           svd.u.cols());
-      res.ranks[n] = r;
-      blas::Matrix<T> u(resident.dim(n), r);
-      blas::copy(blas::MatView<const T>(
-                     svd.u.view().block(0, 0, resident.dim(n), r)),
-                 u.view());
       tensor::Tensor<T> next;
-      tensor::ttm_into(resident, n, blas::MatView<const T>(u.view().t()),
-                       next);
+      core::sthosvd_mode(resident, n, spec, detail::resident_method(method),
+                         threshold_sq, opt.rand, Accum::kNative, res, next);
       resident = std::move(next);
-      res.tucker.factors[n] = std::move(u);
       continue;
     }
 
@@ -386,25 +366,18 @@ StreamSthosvdResult<T> stream_sthosvd(
       // vectors under that much deflation (enough to break the U = A P
       // back-projection), while one-sided Jacobi keeps full column-wise
       // accuracy. Same asymptotic cost, so use Jacobi unconditionally here.
-      auto svdt = core::svd_of_l(blas::Matrix<T>::from(blas::MatView<const T>(
-                                     rfac.view().t())),
-                                 core::SmallSvdBackend::kJacobi);
-      std::vector<T>& sig = res.mode_sigmas[t];
-      sig.resize(svdt.sigma_sq.size());
-      for (std::size_t i = 0; i < sig.size(); ++i)
-        sig[i] = std::sqrt(svdt.sigma_sq[i]);
-      const index_t r =
-          fixed ? std::min(spec.ranks[t], svdt.u.cols())
-                : std::min(core::select_rank(svdt.sigma_sq, threshold_sq),
-                           svdt.u.cols());
-      res.ranks[t] = r;
-
-      // P = V_r diag(1/sigma): U = A P spans the leading left subspace.
-      blas::Matrix<T> p(c, r);
+      // The kept V_r becomes P = V_r diag(1/sigma): U = A P spans the
+      // leading left subspace.
+      blas::Matrix<T> p = core::truncate_mode(
+          core::svd_of_l(blas::Matrix<T>::from(
+                             blas::MatView<const T>(rfac.view().t())),
+                         core::SmallSvdBackend::kJacobi),
+          spec, t, threshold_sq, res.mode_sigmas[t], res.ranks[t]);
+      const index_t r = res.ranks[t];
       for (index_t j = 0; j < r; ++j) {
-        const T s = sig[static_cast<std::size_t>(j)];
+        const T s = res.mode_sigmas[t][static_cast<std::size_t>(j)];
         const T inv = s > T(0) ? T(1) / s : T(0);
-        for (index_t i = 0; i < c; ++i) p(i, j) = svdt.u(i, j) * inv;
+        for (index_t i = 0; i < c; ++i) p(i, j) *= inv;
       }
       // Core without another data pass: U^T A = (R P)^T R.
       blas::Matrix<T> rp(c, r);
@@ -450,10 +423,7 @@ StreamSthosvdResult<T> stream_sthosvd(
           blas::Matrix<T> gs = tensor::gram_of_unfolding(slab, n);
           blas::axpy(m * m, T(1), gs.data(), 1, g.data(), 1);
         }
-        auto eig = la::tridiag_eig(blas::MatView<const T>(g.view()));
-        svd.sigma_sq.reserve(eig.lambda.size());
-        for (T lam : eig.lambda) svd.sigma_sq.push_back(std::abs(lam));
-        svd.u = std::move(eig.v);
+        svd = core::svd_of_gram(g);
       } else if (method == core::SvdMethod::kRand) {
         // Per-chunk sketch (Minster/Li/Ballard), low-rank factors merged
         // as scaled bases: L L^T accumulates sum_c U_c S_c^2 U_c^T.
@@ -465,13 +435,9 @@ StreamSthosvdResult<T> stream_sthosvd(
           if (pos == 0) res.norm_squared += snorm;
           // Per-chunk energy budget eps^2 ||slab||^2 / N: the chunk
           // budgets sum to the mode's global budget.
-          const double chunk_thr =
-              fixed ? 0.0
-                    : spec.epsilon * spec.epsilon * snorm /
-                          static_cast<double>(nmodes);
-          auto cs = core::rand_svd(slab, n,
-                                   fixed ? spec.ranks[n] : index_t{0},
-                                   chunk_thr, opt.rand);
+          auto cs = core::rand_svd(
+              slab, n, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
+              spec.budget_sq(snorm, nmodes), opt.rand);
           const index_t w = cs.u.cols();
           if (cs.sigma_sq.size() > static_cast<std::size_t>(w))
             resid_total += static_cast<double>(cs.sigma_sq.back());
@@ -497,27 +463,14 @@ StreamSthosvdResult<T> stream_sthosvd(
       }
       out.slabs_read += cur->num_slabs();
     }
-    if (pos == 0 && !fixed)
-      threshold_sq = spec.epsilon * spec.epsilon * res.norm_squared /
-                     static_cast<double>(nmodes);
-
-    std::vector<T>& sig = res.mode_sigmas[n];
-    sig.resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sig.size(); ++i)
-      sig[i] = std::sqrt(svd.sigma_sq[i]);
-    const index_t r =
-        fixed ? std::min(spec.ranks[n], svd.u.cols())
-              : std::min(core::select_rank(svd.sigma_sq, threshold_sq),
-                         svd.u.cols());
-    res.ranks[n] = r;
-    blas::Matrix<T> u(m, r);
-    blas::copy(blas::MatView<const T>(svd.u.view().block(0, 0, m, r)),
-               u.view());
+    if (pos == 0) threshold_sq = spec.budget_sq(res.norm_squared, nmodes);
+    blas::Matrix<T> u = core::truncate_mode(svd, spec, n, threshold_sq,
+                                            res.mode_sigmas[n], res.ranks[n]);
 
     // Truncation pass: Y <- Y x_n U^T, slab in / repacked slab out. The
     // output grid is re-sized to the budget, so slabs widen as Y shrinks.
     tensor::Dims new_dims = cur_dims;
-    new_dims[n] = r;
+    new_dims[n] = res.ranks[n];
     detail::SpillFile& dst = spill[spill_slot];
     dst = detail::SpillFile(detail::make_spill_path(sdir));
     {
@@ -593,9 +546,7 @@ class StreamingTucker {
     const tensor::Dims dims = src.dims();
     const std::size_t nmodes = dims.size();
     TUCKER_CHECK(nmodes >= 2, "StreamingTucker: need at least two modes");
-    if (spec.is_fixed_rank())
-      TUCKER_CHECK(spec.ranks.size() == nmodes,
-                   "StreamingTucker: fixed-rank spec needs one rank per mode");
+    core::check_spec_and_order(spec, core::forward_order(nmodes), nmodes);
     const std::size_t t = nmodes - 1;
 
     StreamingTucker st;
@@ -712,66 +663,34 @@ class StreamingTucker {
   const std::vector<std::vector<T>>& mode_sigmas() const { return sigmas_; }
   double norm_squared() const { return norm_sq_; }
 
-  /// Certified bound from the discarded tails (see
-  /// SthosvdResult::estimated_relative_error; the trailing mode's sigmas
-  /// are those of the projected tensor, which only tightens the bound).
+  /// Certified bound from the discarded tails (the free
+  /// core::estimated_relative_error; the trailing mode's sigmas are those
+  /// of the projected tensor, which only tightens the bound).
   double estimated_relative_error() const {
-    double tail = 0;
-    for (std::size_t n = 0; n < sigmas_.size(); ++n)
-      for (std::size_t i = static_cast<std::size_t>(ranks_[n]);
-           i < sigmas_[n].size(); ++i)
-        tail += static_cast<double>(sigmas_[n][i]) *
-                static_cast<double>(sigmas_[n][i]);
-    return norm_sq_ > 0 ? std::sqrt(tail / norm_sq_) : 0.0;
+    return core::estimated_relative_error(sigmas_, ranks_, norm_sq_);
   }
 
  private:
   StreamingTucker() = default;
 
   double threshold_sq() const {
-    return spec_.is_fixed_rank()
-               ? 0.0
-               : spec_.epsilon * spec_.epsilon * norm_sq_ /
-                     static_cast<double>(tri_.size());
+    return spec_.budget_sq(norm_sq_, tri_.size());
   }
 
   /// SVD of mode n's persistent triangle -> sigmas, rank, factor.
   void refresh_basis(std::size_t n) {
-    auto svd = core::svd_of_l(tri_[n], core::SmallSvdBackend::kAuto);
-    sigmas_[n].resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sigmas_[n].size(); ++i)
-      sigmas_[n][i] = std::sqrt(svd.sigma_sq[i]);
-    const index_t r =
-        spec_.is_fixed_rank()
-            ? std::min(spec_.ranks[n], svd.u.cols())
-            : std::min(core::select_rank(svd.sigma_sq, threshold_sq()),
-                       svd.u.cols());
-    ranks_[n] = r;
-    blas::Matrix<T> u(tri_[n].rows(), r);
-    blas::copy(
-        blas::MatView<const T>(svd.u.view().block(0, 0, tri_[n].rows(), r)),
-        u.view());
-    tk_.factors[n] = std::move(u);
+    tk_.factors[n] = core::truncate_mode(
+        core::svd_of_l(tri_[n], core::SmallSvdBackend::kAuto), spec_, n,
+        threshold_sq(), sigmas_[n], ranks_[n]);
   }
 
   /// Trailing-mode QR-SVD of the projected tensor + the new core.
   void refresh_trailing(tensor::Tensor<T> g) {
     const std::size_t t = tri_.size() - 1;
-    auto svd = core::qr_svd(g, t);
-    sigmas_[t].resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sigmas_[t].size(); ++i)
-      sigmas_[t][i] = std::sqrt(svd.sigma_sq[i]);
-    const index_t r =
-        spec_.is_fixed_rank()
-            ? std::min(spec_.ranks[t], svd.u.cols())
-            : std::min(core::select_rank(svd.sigma_sq, threshold_sq()),
-                       svd.u.cols());
-    ranks_[t] = r;
-    blas::Matrix<T> u(g.dim(t), r);
-    blas::copy(blas::MatView<const T>(svd.u.view().block(0, 0, g.dim(t), r)),
-               u.view());
-    tensor::ttm_into(g, t, blas::MatView<const T>(u.view().t()), tk_.core);
-    tk_.factors[t] = std::move(u);
+    tk_.factors[t] = core::truncate_mode(core::qr_svd(g, t), spec_, t,
+                                         threshold_sq(), sigmas_[t], ranks_[t]);
+    tensor::ttm_into(g, t, blas::MatView<const T>(tk_.factors[t].view().t()),
+                     tk_.core);
   }
 
   core::TruncationSpec spec_;

@@ -14,7 +14,7 @@
 //   mpi::     simulated MPI runtime (threads + virtual clocks)
 //   tensor::  dense tensors, unfoldings, TTM, preprocessing
 //   dist::    processor grids, distributed tensors and kernels
-//   core::    ST-HOSVD (sequential + parallel), Tucker objects, extensions
+//   core::    ST-HOSVD (sequential + parallel), Tucker objects
 //   stream::  out-of-core / incremental drivers over slab sources
 //   serve::   long-lived batched serving layer (queue + arena workers)
 //   data::    synthetic dataset generators
@@ -30,8 +30,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "core/extensions.hpp"
-#include "core/par_extensions.hpp"
 #include "core/par_reconstruct.hpp"
 #include "core/par_sthosvd.hpp"
 #include "core/sthosvd.hpp"

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/extensions.hpp"
 #include "core/par_reconstruct.hpp"
 #include "core/par_sthosvd.hpp"
 #include "core/sthosvd.hpp"

@@ -112,6 +112,22 @@ TEST(ParSthosvdFixedRankTest, RankSmallerThanGridDim) {
   });
 }
 
+TEST(ParSthosvdOrderDeathTest, OrderMustBePermutationOfModes) {
+  // As in the sequential driver, an order that repeats a mode or names one
+  // past the last fails fast instead of returning a short decomposition or
+  // reading past the spec's ranks.
+  auto full = data::random_tensor<double>({6, 5, 4}, 415);
+  const auto spec = TruncationSpec::fixed_ranks({3, 3, 3});
+  mpi::Runtime::run(1, [&](mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({1, 1, 1}), full.dims());
+    dt.fill_from(full);
+    for (const std::vector<std::size_t>& order :
+         {std::vector<std::size_t>{0, 0, 1}, std::vector<std::size_t>{0, 1, 5}})
+      EXPECT_DEATH((void)core::par_sthosvd(dt, spec, SvdMethod::kQr, order),
+                   "order must be a permutation of the modes");
+  });
+}
+
 TEST(ParSthosvdTest, SigmasMatchSequential) {
   auto full = test_tensor(53);
   auto seq = core::sthosvd(full, TruncationSpec::tolerance(1e-2),

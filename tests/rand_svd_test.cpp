@@ -2,10 +2,11 @@
 // kRand): fixed-rank accuracy against the exact QR-SVD, tolerance mode
 // meeting its error budget through adaptive oversampling, bitwise
 // determinism across thread-pool widths and across simmpi grid shapes, the
+// plain range finder (power_iters = 0) sequentially and on grids, the
 // incremental-extension property of the counter-based sketch, the flop
-// credit of the sketch kernel, and arena reuse. Also pins the select_rank
-// R >= 1 contract on empty input (regression) and the exhaustive
-// method_name switch.
+// credit of the sketch kernel, the counter-based Gaussian it draws from,
+// and arena reuse. Also pins the select_rank R >= 1 contract on empty
+// input (regression) and the exhaustive method_name switch.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +15,12 @@
 #include <vector>
 
 #include "common/flops.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "core/par_sthosvd.hpp"
 #include "core/sthosvd.hpp"
+#include "data/synthetic_matrix.hpp"
 #include "data/synthetic_tensor.hpp"
 #include "simmpi/runtime.hpp"
 #include "tensor/sketch.hpp"
@@ -253,7 +256,194 @@ TEST(ParRandSvdTest, FixedRankHonoredOnGrid) {
   });
 }
 
+// ------------------------------------------ plain range finder (q = 0)
+//
+// kRand at power_iters = 0 is the plain range finder (HMT Alg 4.1 + the
+// projected Gram solve), sequentially and on simmpi grids.
+
+RandSvdOptions plain_finder(index_t oversample = 8) {
+  RandSvdOptions opt;
+  opt.oversample = oversample;
+  opt.power_iters = 0;
+  return opt;
+}
+
+// A {3, d1, d2} random core lifted to `rows` in mode 0: the mode-0
+// unfolding has exact rank 3.
+Tensor<double> exact_rank3_mode0(index_t rows, index_t d1, index_t d2,
+                                 std::uint64_t seed) {
+  tucker::Rng rng(seed);
+  Tensor<double> core =
+      tucker::data::random_tensor<double>({3, d1, d2}, seed + 1);
+  auto u0 = tucker::data::random_orthonormal(rows, 3, rng);
+  return tucker::tensor::ttm(core, 0,
+                             tucker::blas::MatView<const double>(u0.view()));
+}
+
+// ||X - U U^T X|| / ||X|| through the mode-0 unfolding, U = the leading
+// r columns of u.
+double mode0_projection_residual(const Tensor<double>& x,
+                                 const Matrix<double>& u, index_t r) {
+  const auto ur =
+      tucker::blas::MatView<const double>(u.view().block(0, 0, x.dim(0), r));
+  auto y = tucker::tensor::ttm(x, 0, ur.t());
+  auto back = tucker::tensor::ttm(y, 0, ur);
+  double diff = 0;
+  for (index_t i = 0; i < x.size(); ++i) {
+    const double d = x.data()[i] - back.data()[i];
+    diff += d * d;
+  }
+  return std::sqrt(diff / x.norm_squared());
+}
+
+TEST(RandomizedSvdTest, RecoversExactLowRankSubspace) {
+  auto x = exact_rank3_mode0(12, 8, 7, 401);
+  auto rnd = tucker::core::rand_svd(x, 0, 3, 0.0, plain_finder());
+  ASSERT_GE(rnd.u.cols(), 3);
+  EXPECT_LE(mode0_projection_residual(x, rnd.u, 3), 1e-10);
+}
+
+TEST(RandomizedSvdTest, FixedRankSthosvdComparableToQr) {
+  auto x = tucker::data::tensor_with_spectra(
+      {14, 12, 10}, {tucker::data::DecayProfile::geometric(1, 1e-4),
+                     tucker::data::DecayProfile::geometric(1, 1e-4),
+                     tucker::data::DecayProfile::geometric(1, 1e-4)},
+      407);
+  const auto spec = TruncationSpec::fixed_ranks({5, 5, 5});
+  auto qr = tucker::core::sthosvd(x, spec, SvdMethod::kQr);
+  auto rnd =
+      tucker::core::sthosvd(x, spec, SvdMethod::kRand, {}, plain_finder());
+  EXPECT_EQ(rnd.tucker.core.dims(), (Dims{5, 5, 5}));
+  // Oversampling alone keeps the error within a modest factor of QR's.
+  EXPECT_LE(tucker::core::relative_error(x, rnd.tucker),
+            3 * tucker::core::relative_error(x, qr.tucker) + 1e-12);
+}
+
+TEST(RandomizedSvdTest, CheaperThanGramForSmallRank) {
+  // A width-7 sketch (rank 3, oversample 4) of a 24-row unfolding credits
+  // fewer flops than forming and solving the 24 x 24 Gram matrix.
+  auto x = tucker::data::random_tensor<double>({24, 16, 16}, 409);
+  tucker::FlopScope rand_scope;
+  (void)tucker::core::rand_svd(x, 0, 3, 0.0, plain_finder(4));
+  const auto rand_flops = rand_scope.flops();
+  tucker::FlopScope gram_scope;
+  (void)tucker::core::gram_svd(x, 0);
+  EXPECT_LT(rand_flops, gram_scope.flops());
+}
+
+tucker::core::ModeSvd<double> par_rand_svd(const DistTensor<double>& dt,
+                                           std::size_t n, index_t rank,
+                                           const RandSvdOptions& opt) {
+  return tucker::dist::par_rand_svd(dt, n, rank, 0.0, opt.oversample,
+                                    opt.power_iters, opt.seed,
+                                    opt.rank_guess, "test");
+}
+
+TEST(ParRandomizedSvdTest, ExactLowRankSubspaceRecovered) {
+  auto x = exact_rank3_mode0(12, 6, 5, 6001);
+  Matrix<double> u;
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({2, 2, 1}), x.dims());
+    dt.fill_from(x);
+    auto rsvd = par_rand_svd(dt, 0, 3, plain_finder());
+    if (world.rank() == 0) u = std::move(rsvd.u);
+  });
+  ASSERT_GE(u.cols(), 3);
+  EXPECT_LE(mode0_projection_residual(x, u, 3), 1e-10);
+}
+
+TEST(ParRandomizedSvdTest, ReplicatedIdenticallyAcrossRanksAndGrids) {
+  auto x = tucker::data::tensor_with_spectra(
+      {8, 7, 6}, {tucker::data::DecayProfile::geometric(1, 1e-3),
+                  tucker::data::DecayProfile::geometric(1, 1e-3),
+                  tucker::data::DecayProfile::geometric(1, 1e-3)},
+      6003);
+  // Every rank holds the same basis bit for bit, and the same sketch seed
+  // gives the same spectrum whatever the grid.
+  RandSvdOptions opt = plain_finder(4);
+  opt.seed = 99;
+  auto run_grid = [&](const Dims& gdims) {
+    const int p = ProcessorGrid(gdims).total();
+    std::vector<tucker::core::ModeSvd<double>> per_rank(p);
+    tucker::mpi::Runtime::run(p, [&](tucker::mpi::Comm& world) {
+      DistTensor<double> dt(world, ProcessorGrid(gdims), x.dims());
+      dt.fill_from(x);
+      per_rank[world.rank()] = par_rand_svd(dt, 1, 4, opt);
+    });
+    for (int r = 1; r < p; ++r)
+      EXPECT_TRUE(bitwise_equal(per_rank[r], per_rank[0]))
+          << "rank " << r << " of grid " << gdims[0] << "x" << gdims[1]
+          << "x" << gdims[2];
+    return per_rank[0].sigma_sq;
+  };
+  const auto sig_a = run_grid({2, 2, 1});
+  const auto sig_b = run_grid({1, 2, 1});
+  ASSERT_EQ(sig_a.size(), sig_b.size());
+  for (std::size_t i = 0; i < sig_a.size(); ++i)
+    EXPECT_NEAR(sig_a[i], sig_b[i], 1e-9 * (sig_a[0] + 1e-30))
+        << "sketches must agree across distributions, i=" << i;
+}
+
+TEST(ParRandomizedSthosvdTest, ErrorComparableToDeterministic) {
+  auto x = tucker::data::tensor_with_spectra(
+      {12, 10, 8}, {tucker::data::DecayProfile::geometric(1, 1e-4),
+                    tucker::data::DecayProfile::geometric(1, 1e-4),
+                    tucker::data::DecayProfile::geometric(1, 1e-4)},
+      6004);
+  const auto spec = TruncationSpec::fixed_ranks({4, 4, 4});
+  auto det = tucker::core::sthosvd(x, spec, SvdMethod::kQr);
+  const double det_err = tucker::core::relative_error(x, det.tucker);
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({2, 1, 2}), x.dims());
+    dt.fill_from(x);
+    auto rnd = tucker::core::par_sthosvd(dt, spec, SvdMethod::kRand, {},
+                                         plain_finder());
+    EXPECT_EQ(rnd.core.global_dims(), (Dims{4, 4, 4}));
+    auto tk = rnd.gather_to_root();
+    if (world.rank() == 0) {
+      EXPECT_LE(tucker::core::relative_error(x, tk), 3 * det_err + 1e-12);
+    }
+  });
+}
+
+TEST(ParRandomizedSthosvdTest, BackwardOrderWorks) {
+  auto x = tucker::data::random_tensor<double>({8, 6, 6, 4}, 6005);
+  const Dims ranks{3, 3, 3, 2};
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({2, 2, 1, 1}), x.dims());
+    dt.fill_from(x);
+    auto rnd = tucker::core::par_sthosvd(
+        dt, TruncationSpec::fixed_ranks(ranks), SvdMethod::kRand,
+        tucker::core::backward_order(4), plain_finder());
+    EXPECT_EQ(rnd.core.global_dims(), ranks);
+    ASSERT_EQ(rnd.ranks.size(), 4u);
+    for (std::size_t n = 0; n < 4; ++n) {
+      EXPECT_EQ(rnd.ranks[n], ranks[n]) << "mode " << n;
+      EXPECT_EQ(rnd.factors[n].rows(), x.dim(n)) << "mode " << n;
+      EXPECT_EQ(rnd.factors[n].cols(), ranks[n]) << "mode " << n;
+    }
+  });
+}
+
 // --------------------------------------------------- sketch kernel props
+
+TEST(HashNormalTest, DeterministicAcrossCalls) {
+  EXPECT_EQ(tucker::hash_normal(1, 2, 3), tucker::hash_normal(1, 2, 3));
+  EXPECT_NE(tucker::hash_normal(1, 2, 3), tucker::hash_normal(1, 2, 4));
+  EXPECT_NE(tucker::hash_normal(1, 2, 3), tucker::hash_normal(2, 2, 3));
+}
+
+TEST(HashNormalTest, ApproximatelyStandardNormal) {
+  double sum = 0, sumsq = 0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    const double v = tucker::hash_normal(42, static_cast<std::uint64_t>(i), 7);
+    sum += v;
+    sumsq += v * v;
+  }
+  EXPECT_NEAR(sum / n, 0.0, 0.03);
+  EXPECT_NEAR(sumsq / n, 1.0, 0.05);
+}
 
 TEST(SketchTest, IncrementalExtensionIsBitwiseConsistent) {
   // Sketching [0, w) in one shot equals sketching [0, w/2) then appending

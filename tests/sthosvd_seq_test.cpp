@@ -1,5 +1,6 @@
 // Integration tests for sequential ST-HOSVD with both SVD engines and both
-// precisions, including the paper's tolerance-regime behaviour.
+// precisions, including the paper's tolerance-regime behaviour, the order
+// checks, and the greedy cost-model mode ordering.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "core/sthosvd.hpp"
 #include "data/synthetic_matrix.hpp"
 #include "data/synthetic_tensor.hpp"
+#include "serve/admission.hpp"
 
 namespace tucker {
 namespace {
@@ -251,6 +253,116 @@ TEST(SthosvdTest, NormSquaredMatchesInput) {
   auto res =
       core::sthosvd(x, TruncationSpec::tolerance(0.5), SvdMethod::kGram);
   EXPECT_NEAR(res.norm_squared, x.norm_squared(), 1e-9 * res.norm_squared);
+}
+
+// ------------------------------------------------------------ order checks
+
+// An order that is not a permutation of the modes fails fast instead of
+// returning a short decomposition ({0, 0, 1} never processes mode 2) or
+// reading past the spec's ranks ({0, 1, 5}), whether it comes positionally
+// or through SthosvdOptions::order -- which a served compress request also
+// prices on the submitting thread.
+const std::vector<std::size_t> kBadOrders[] = {{0, 0, 1}, {0, 1, 5}};
+
+TEST(SthosvdOrderTest, IsModeOrderAcceptsOnlyPermutations) {
+  EXPECT_TRUE(core::is_mode_order({2, 0, 1}, 3));
+  EXPECT_TRUE(core::is_mode_order(core::backward_order(4), 4));
+  EXPECT_TRUE(core::is_mode_order({}, 0));
+  for (const auto& order : kBadOrders)
+    EXPECT_FALSE(core::is_mode_order(order, 3));
+  EXPECT_FALSE(core::is_mode_order({0, 1}, 3));
+  EXPECT_FALSE(core::is_mode_order({0, 1, 2, 3}, 3));
+}
+
+TEST(SthosvdOrderDeathTest, PositionalOrderMustBePermutationOfModes) {
+  auto x = data::random_tensor<double>({6, 5, 4}, 415);
+  const auto spec = TruncationSpec::fixed_ranks({3, 3, 3});
+  for (const auto& order : kBadOrders)
+    EXPECT_DEATH((void)core::sthosvd(x, spec, SvdMethod::kQr, order),
+                 "order must be a permutation of the modes");
+}
+
+TEST(SthosvdOrderDeathTest, OptionsOrderMustBePermutationOfModes) {
+  auto x = data::random_tensor<double>({6, 5, 4}, 415);
+  const auto spec = TruncationSpec::fixed_ranks({3, 3, 3});
+  for (const auto& order : kBadOrders) {
+    core::SthosvdOptions opt;
+    opt.order = order;
+    EXPECT_DEATH((void)core::sthosvd(x, spec, SvdMethod::kQr, opt),
+                 "order must be a permutation of the modes");
+  }
+}
+
+TEST(SthosvdOrderDeathTest, CompressCostRejectsNonPermutationOrder) {
+  const tensor::Dims dims = {6, 5, 4};
+  const auto spec = TruncationSpec::fixed_ranks({3, 3, 3});
+  for (const auto& order : kBadOrders) {
+    core::SthosvdOptions opt;
+    opt.order = order;
+    EXPECT_DEATH((void)serve::compress_cost(dims, spec, SvdMethod::kQr, opt,
+                                            sizeof(double)),
+                 "order must be a permutation of the modes");
+  }
+}
+
+// ----------------------------------------------------------- mode ordering
+
+TEST(GreedyOrderTest, MostTruncatingModeFirst) {
+  auto order = core::greedy_order({10, 10, 10}, {1, 5, 2});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1}));
+}
+
+TEST(GreedyOrderTest, TiesKeepModeOrder) {
+  // Fully symmetric problem: every step is a cost tie, which resolves to
+  // the lowest unprocessed mode, i.e. forward order.
+  auto order = core::greedy_order({10, 10, 10}, {5, 5, 5});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(GreedyOrderTest, CostModelWeighsShrunkenDims) {
+  // Modes 0 and 2 tie on the first step (lowest index wins); once mode 0
+  // has shrunk to rank 5, mode 2's unfolding is half as wide as mode 1's,
+  // so the flop model processes it next -- unlike a pure R/I ratio sort,
+  // which would keep storage order here.
+  auto order = core::greedy_order({10, 20, 10}, {5, 10, 5});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1}));
+}
+
+TEST(GreedyOrderTest, ModeledFlopsMatchGreedyChoice) {
+  // The greedy order is never modeled as more expensive than forward or
+  // backward order on the same problem.
+  const tensor::Dims dims = {24, 12, 18};
+  const std::vector<index_t> ranks = {20, 3, 9};
+  auto greedy = core::greedy_order(dims, ranks, SvdMethod::kQr);
+  const double g = core::modeled_sthosvd_flops(dims, ranks, greedy,
+                                               SvdMethod::kQr);
+  const double f = core::modeled_sthosvd_flops(
+      dims, ranks, core::forward_order(3), SvdMethod::kQr);
+  const double b = core::modeled_sthosvd_flops(
+      dims, ranks, core::backward_order(3), SvdMethod::kQr);
+  EXPECT_LE(g, f);
+  EXPECT_LE(g, b);
+}
+
+TEST(GreedyOrderTest, EmptyRanksFallsBackToForward) {
+  auto order = core::greedy_order({4, 5, 6}, {});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(GreedyOrderTest, GreedyOrderReducesWork) {
+  // Processing the most-truncating mode first does no more flops than the
+  // reverse order for a fixed-rank decomposition.
+  auto x = data::random_tensor<double>({20, 20, 20}, 413);
+  const auto spec = TruncationSpec::fixed_ranks({2, 10, 18});
+  auto greedy = core::greedy_order({20, 20, 20}, {2, 10, 18});
+  reset_thread_flops();
+  (void)core::sthosvd(x, spec, SvdMethod::kQr, greedy);
+  const auto greedy_flops = thread_flops();
+  std::vector<std::size_t> reverse(greedy.rbegin(), greedy.rend());
+  reset_thread_flops();
+  (void)core::sthosvd(x, spec, SvdMethod::kQr, reverse);
+  const auto reverse_flops = thread_flops();
+  EXPECT_LT(greedy_flops, reverse_flops);
 }
 
 }  // namespace

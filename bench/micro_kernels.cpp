@@ -14,7 +14,10 @@
 // sit near the flop peak, memory-bound ones near bandwidth).
 // --compare[=PATH] runs the same sweep and diffs it against the committed
 // JSON instead of overwriting it, printing per-row speedups -- the
-// regression check for kernel work.
+// regression check for kernel work. --levels prints the detected ISA level
+// and, for every level this host runs, the sweep's one-thread gemm, syrk
+// and packed-TTM rows in fp32 and fp64 with their ratio (paper claim 3);
+// those rows are not gated and are written to no file.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +26,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -294,116 +299,166 @@ struct SweepRow {
   double speedup_vs_1t;
 };
 
+// One call of a sweep kernel on inputs the case owns, with the flops and
+// minimum-traffic bytes of that call.
+struct KernelCase {
+  const char* kernel;
+  index_t size;
+  double flops;
+  double bytes;
+  std::function<void()> run;
+};
+
+// gemm: n x n x n, sized from cache-resident to memory-spanning so the
+// sweep brackets the roofline ridge.
+template <class T>
+KernelCase gemm_case(index_t n) {
+  struct In {
+    Matrix<T> a, b, c;
+  };
+  auto in = std::make_shared<In>(
+      In{rand_mat<T>(n, n, 1), rand_mat<T>(n, n, 2), Matrix<T>(n, n)});
+  return {"gemm", n, 2.0 * n * n * n, sizeof(T) * (2.0 * n * n + 2.0 * n * n),
+          [in] {
+            tucker::blas::gemm(T(1), MatView<const T>(in->a.view()),
+                               MatView<const T>(in->b.view()), T(0),
+                               in->c.view());
+          }};
+}
+
+// syrk: m x m Gram of an m x 2m unfolding.
+template <class T>
+KernelCase syrk_case() {
+  const index_t m = 1024, n = 2 * m;
+  struct In {
+    Matrix<T> a, g;
+  };
+  auto in = std::make_shared<In>(In{rand_mat<T>(m, n, 3), Matrix<T>(m, m)});
+  return {"syrk", m, static_cast<double>(m) * (m + 1) * n,
+          sizeof(T) * (static_cast<double>(m) * n +
+                       2.0 * static_cast<double>(m) * m),
+          [in] {
+            tucker::blas::syrk(T(1), MatView<const T>(in->a.view()), T(0),
+                               in->g.view());
+          }};
+}
+
+// ttm: mode-1 product of a d^3 cube with a (d/2 x d) factor, into a
+// recycled output tensor (the sthosvd steady-state pattern).
+template <class T>
+KernelCase ttm_case() {
+  const index_t d = 160;
+  struct In {
+    tucker::tensor::Tensor<T> x, y;
+    Matrix<T> u;
+  };
+  auto in = std::make_shared<In>();
+  in->x = tucker::tensor::Tensor<T>({d, d, d});
+  tucker::Rng rng(4);
+  for (index_t i = 0; i < in->x.size(); ++i)
+    in->x.data()[i] = rng.normal<T>();
+  in->u = rand_mat<T>(d / 2, d, 5);
+  return {"ttm", d, 2.0 * (d / 2) * d * d * d,
+          sizeof(T) * (static_cast<double>(d) * d * d +
+                       static_cast<double>(d / 2) * d * d +
+                       static_cast<double>(d / 2) * d),
+          [in] {
+            tucker::tensor::ttm_into(in->x, 1, MatView<const T>(in->u.view()),
+                                     in->y);
+            benchmark::DoNotOptimize(in->y.data());
+          }};
+}
+
+// sketch: width-24 Gaussian sketch of the mode-1 unfolding of a d^3 cube
+// (the randomized engine's factorization kernel; Omega is generated on
+// the fly, so the byte count is the streamed-gemm model from
+// flops::sketch_bytes).
+template <class T>
+KernelCase sketch_case() {
+  const index_t d = 160, wid = 24;
+  struct In {
+    tucker::tensor::Tensor<T> x;
+    Matrix<T> s;
+  };
+  auto in = std::make_shared<In>();
+  in->x = tucker::tensor::Tensor<T>({d, d, d});
+  tucker::Rng rng(6);
+  for (index_t i = 0; i < in->x.size(); ++i)
+    in->x.data()[i] = rng.normal<T>();
+  in->s = Matrix<T>(d, wid);
+  const auto cols = static_cast<std::int64_t>(d) * d;
+  return {"sketch", d,
+          static_cast<double>(tucker::flops::gaussian_sketch(d, cols, wid)),
+          static_cast<double>(
+              tucker::flops::sketch_bytes(d, cols, wid, sizeof(T))),
+          [in] {
+            tucker::tensor::sketch_unfolding_cols(in->x, 1, 0x5eedULL, 0, wid,
+                                                  in->s.view());
+            benchmark::DoNotOptimize(in->s.data());
+          }};
+}
+
+void sweep_case(std::vector<SweepRow>& rows, const char* prec,
+                const KernelCase& kc) {
+  double base = 0;
+  for (int w : {1, 2, 4}) {
+    tucker::parallel::set_max_threads(w);
+    const double s = time_best(kc.run, 2);
+    if (w == 1) base = s;
+    rows.push_back({kc.kernel, prec, kc.size, w, s, kc.flops / s * 1e-9,
+                    kc.bytes / s * 1e-9, base / s});
+  }
+}
+
 template <class T>
 void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
-  const int widths[] = {1, 2, 4};
-  // gemm: n x n x n, sized from cache-resident to memory-spanning so the
-  // sweep brackets the roofline ridge.
-  for (const index_t n : {index_t{256}, index_t{512}, index_t{1024}}) {
-    auto a = rand_mat<T>(n, n, 1);
-    auto b = rand_mat<T>(n, n, 2);
-    Matrix<T> c(n, n);
-    const double flops = 2.0 * n * n * n;
-    const double bytes = sizeof(T) * (2.0 * n * n + 2.0 * n * n);
-    double base = 0;
-    for (int w : widths) {
-      tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::blas::gemm(T(1), MatView<const T>(a.view()),
-                               MatView<const T>(b.view()), T(0), c.view());
-          },
-          2);
-      if (w == 1) base = s;
-      rows.push_back({"gemm", prec, n, w, s, flops / s * 1e-9,
-                      bytes / s * 1e-9, base / s});
-    }
-  }
-  // syrk: m x m Gram of an m x 2m unfolding.
-  {
-    const index_t m = 1024, n = 2 * m;
-    auto a = rand_mat<T>(m, n, 3);
-    Matrix<T> g(m, m);
-    const double flops = static_cast<double>(m) * (m + 1) * n;
-    const double bytes = sizeof(T) * (static_cast<double>(m) * n +
-                                      2.0 * static_cast<double>(m) * m);
-    double base = 0;
-    for (int w : widths) {
-      tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::blas::syrk(T(1), MatView<const T>(a.view()), T(0),
-                               g.view());
-          },
-          2);
-      if (w == 1) base = s;
-      rows.push_back({"syrk", prec, m, w, s, flops / s * 1e-9,
-                      bytes / s * 1e-9, base / s});
-    }
-  }
-  // ttm: mode-1 product of a d^3 cube with a (d/2 x d) factor, into a
-  // recycled output tensor (the sthosvd steady-state pattern).
-  {
-    const index_t d = 160;
-    tucker::tensor::Tensor<T> x({d, d, d});
-    tucker::Rng rng(4);
-    for (index_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal<T>();
-    auto u = rand_mat<T>(d / 2, d, 5);
-    tucker::tensor::Tensor<T> y;
-    const double flops = 2.0 * (d / 2) * d * d * d;
-    const double bytes =
-        sizeof(T) * (static_cast<double>(d) * d * d +
-                     static_cast<double>(d / 2) * d * d +
-                     static_cast<double>(d / 2) * d);
-    double base = 0;
-    for (int w : widths) {
-      tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::tensor::ttm_into(x, 1, MatView<const T>(u.view()), y);
-            benchmark::DoNotOptimize(y.data());
-          },
-          2);
-      if (w == 1) base = s;
-      rows.push_back({"ttm", prec, d, w, s, flops / s * 1e-9,
-                      bytes / s * 1e-9, base / s});
-    }
-  }
-  // sketch: width-24 Gaussian sketch of the mode-1 unfolding of a d^3 cube
-  // (the randomized engine's factorization kernel; Omega is generated on
-  // the fly, so the byte count is the streamed-gemm model from
-  // flops::sketch_bytes).
-  {
-    const index_t d = 160, wid = 24;
-    tucker::tensor::Tensor<T> x({d, d, d});
-    tucker::Rng rng(6);
-    for (index_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal<T>();
-    Matrix<T> s_out(d, wid);
-    const double flops = static_cast<double>(
-        tucker::flops::gaussian_sketch(d, static_cast<std::int64_t>(d) * d,
-                                       wid));
-    const double bytes = static_cast<double>(tucker::flops::sketch_bytes(
-        d, static_cast<std::int64_t>(d) * d, wid, sizeof(T)));
-    double base = 0;
-    for (int w : widths) {
-      tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::tensor::sketch_unfolding_cols(x, 1, 0x5eedULL, 0, wid,
-                                                  s_out.view());
-            benchmark::DoNotOptimize(s_out.data());
-          },
-          2);
-      if (w == 1) base = s;
-      rows.push_back({"sketch", prec, d, w, s, flops / s * 1e-9,
-                      bytes / s * 1e-9, base / s});
-    }
-  }
+  for (const index_t n : {index_t{256}, index_t{512}, index_t{1024}})
+    sweep_case(rows, prec, gemm_case<T>(n));
+  sweep_case(rows, prec, syrk_case<T>());
+  sweep_case(rows, prec, ttm_case<T>());
+  sweep_case(rows, prec, sketch_case<T>());
 }
 
 void run_sweep(std::vector<SweepRow>& rows) {
   sweep_kernels<float>(rows, "float");
   sweep_kernels<double>(rows, "double");
+}
+
+// --levels: the sweep's one-thread gemm (1024), syrk and packed-TTM rows at
+// every ISA level this host runs, fp32 against fp64. Each GF/s is the best
+// of five calls, with the levels interleaved call by call so machine noise
+// lands on every level alike.
+int run_levels() {
+  namespace mk = tucker::blas::detail;
+  const mk::KernelVariant saved = mk::kernel_variant();
+  std::vector<mk::KernelVariant> levels = mk::supported_kernel_variants();
+  levels.erase(levels.begin());  // the scalar oracle is not a level
+  tucker::parallel::set_max_threads(1);
+  std::printf("detected ISA level: %s\n",
+              mk::kernel_variant_name(mk::detected_kernel_variant()));
+  std::printf("%-6s %5s %-8s | %8s %8s | %9s\n", "kernel", "size", "level",
+              "fp32 GF", "fp64 GF", "fp32/fp64");
+  auto show = [&](const KernelCase& f32, const KernelCase& f64) {
+    std::vector<double> s32(levels.size(), 1e300), s64(levels.size(), 1e300);
+    for (int rep = 0; rep < 5; ++rep)
+      for (std::size_t l = 0; l < levels.size(); ++l) {
+        mk::set_kernel_variant(levels[l]);
+        s32[l] = std::min(s32[l], time_best(f32.run, 1));
+        s64[l] = std::min(s64[l], time_best(f64.run, 1));
+      }
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      const double g32 = f32.flops / s32[l] * 1e-9;
+      const double g64 = f64.flops / s64[l] * 1e-9;
+      std::printf("%-6s %5lld %-8s | %8.2f %8.2f | %8.2fx\n", f32.kernel,
+                  static_cast<long long>(f32.size),
+                  mk::kernel_variant_name(levels[l]), g32, g64, g32 / g64);
+    }
+  };
+  show(gemm_case<float>(1024), gemm_case<double>(1024));
+  show(syrk_case<float>(), syrk_case<double>());
+  show(ttm_case<float>(), ttm_case<double>());
+  mk::set_kernel_variant(saved);
+  return 0;
 }
 
 // ------------------------------------------------- TTM engine sweep
@@ -687,6 +742,7 @@ int main(int argc, char** argv) {
       const char* eq = std::strchr(argv[i], '=');
       return run_compare(eq ? eq + 1 : "BENCH_kernels.json", fail_under);
     }
+    if (std::strcmp(argv[i], "--levels") == 0) return run_levels();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

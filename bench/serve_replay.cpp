@@ -78,10 +78,10 @@ double seconds_since(Clock::time_point t0) {
 // factor packing) is a large share of a reconstruction -- the
 // many-cheap-requests regime the fast path exists for. The working set
 // (0.9 MB output + intermediates + packs) stays cache-resident, so the
-// ratio measures the path rather than DRAM bandwidth; with native kernels
-// (TUCKER_NATIVE=ON, the EXPERIMENTS.md recorded-run convention) the TTM
-// chain is ~0.04 ms and the naive baseline pays that again in allocation
-// churn.
+// ratio measures the path rather than DRAM bandwidth; with the kernels at
+// a wide ISA level (the default binary picks the host's at start-up) the
+// TTM chain is ~0.04 ms and the naive baseline pays that again in
+// allocation churn.
 const Dims kModelDims{48, 48, 48};
 const std::vector<index_t> kModelRanks{4, 4, 4};
 // The compress workload: small enough that one request is milliseconds.

@@ -47,7 +47,7 @@ namespace tucker::blas {
 /// Wide accumulation still spills C at storage width once per k block, so
 /// its bits depend on TUCKER_GEMM_KB (one storage rounding per spill, error
 /// ~(k/kb + 1) * eps_s instead of k * eps_s) -- but, like every blocking
-/// knob, never on thread count, SIMD variant or output partition.
+/// knob, never on thread count, ISA level or output partition.
 template <class T, class TA = T>
 void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
           MatView<T> c) {
@@ -98,8 +98,7 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
           static_cast<std::size_t>(detail::round_up(jb, kMicroNR) * kb));
       T* apack = ws.get<T>(
           static_cast<std::size_t>(detail::round_up(mc, kMicroMR) * kb));
-      const bool simd =
-          detail::kernel_variant() == detail::KernelVariant::kSimd;
+      const auto tile = detail::micro_kernels<T, TA>().tile;
       for (index_t j0 = jlo; j0 < jhi; j0 += jb) {
         const index_t jn = std::min(jb, jhi - j0);
         for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -116,10 +115,9 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
                 const T* ap = apack + it * kn;
                 T* cp = c.data() + (i0 + it) * ldc + (j0 + jt);
                 if (mr == kMicroMR && nr == kMicroNR) {
-                  detail::mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+                  tile(kn, ap, bp, cp, ldc);
                 } else {
-                  detail::mk_tile_edge<T, TA>(simd, kn, ap, bp, cp, ldc, mr,
-                                              nr);
+                  detail::mk_tile_edge(tile, kn, ap, bp, cp, ldc, mr, nr);
                 }
               }
             }
@@ -211,7 +209,7 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
   auto scratch = ws.frame();
   T* bpack =
       ws.get<T>(static_cast<std::size_t>(round_up(jb, kMicroNR) * kb));
-  const bool simd = kernel_variant() == KernelVariant::kSimd;
+  const auto tile = micro_kernels<T, TA>().tile;
   for (index_t j0 = 0; j0 < n; j0 += jb) {
     const index_t jn = std::min(jb, n - j0);
     for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -225,9 +223,9 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
           const T* ap = apack + it * k + k0 * kMicroMR;
           T* cp = c.data() + it * ldc + (j0 + jt);
           if (mr == kMicroMR && nr == kMicroNR) {
-            mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+            tile(kn, ap, bp, cp, ldc);
           } else {
-            mk_tile_edge<T, TA>(simd, kn, ap, bp, cp, ldc, mr, nr);
+            mk_tile_edge(tile, kn, ap, bp, cp, ldc, mr, nr);
           }
         }
       }
@@ -261,7 +259,7 @@ struct SyrkSteps {
   MatView<T> c;  // row-contiguous
   T* apack;
   T* bpack;
-  bool simd;
+  TileFn<T> tile;  // the active level's, fetched once per call
   index_t j0 = 0, k0 = 0, nsub = 0, kn = 0;  // columns [k0, k0+kn) of
                                             // blocks j0 .. j0+nsub-1
   std::array<index_t, kSyrkMaxBands + 1> bands{};
@@ -293,7 +291,7 @@ struct SyrkSteps {
           const T* bp = bpack + (s * mpb + jt) * kn;
           T* cp = c.data() + i0 * ldc + jt;
           if (mr == kMicroMR && jt + kMicroNR - 1 <= i0) {
-            mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+            tile(kn, ap, bp, cp, ldc);
             continue;
           }
           // Diagonal-crossing or edge tile: compute the full tile into a
@@ -304,7 +302,7 @@ struct SyrkSteps {
               const bool live = r < mr && jt + j <= i0 + r;
               ctmp[r * kMicroNR + j] = live ? cp[r * ldc + j] : T(0);
             }
-          mk_tile<T, TA>(simd, kn, ap, bp, ctmp, kMicroNR);
+          tile(kn, ap, bp, ctmp, kMicroNR);
           for (index_t r = 0; r < mr; ++r) {
             const index_t jn = std::min(kMicroNR, i0 + r - jt + 1);
             for (index_t j = 0; j < jn; ++j)
@@ -430,7 +428,7 @@ void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
                                            kc_max)),
         ws.get<T>(static_cast<std::size_t>(detail::round_up(m, kMicroNR) *
                                            kc_max)),
-        detail::kernel_variant() == detail::KernelVariant::kSimd};
+        detail::micro_kernels<T, TA>().tile};
     for (index_t j = 0; j < nblocks; j += per_step) {
       if (w > kSyrkKB) {
         for (index_t k0 = 0; k0 < w; k0 += kSyrkKB)

@@ -7,14 +7,22 @@
 // per step, and each C element accumulates with its own independent
 // accumulator in serial k order. The NR axis is the vector axis.
 //
-// Two implementations of the same arithmetic are always compiled:
-//  - mk_tile_simd: portable fixed-width SIMD via GNU vector extensions
-//    (GCC/Clang). Each accumulator row is one NR-wide vector; the
-//    per-element operation sequence is identical to the scalar kernel.
-//  - mk_tile_scalar: the scalar reference, plain nested loops.
-// The active default comes from the TUCKER_SIMD build option; tests flip
-// `kernel_variant()` at runtime to assert the two are bitwise identical
-// over shape/stride/special-value sweeps (kernel_equivalence_test.cpp).
+// Every kernel has a scalar reference (mk_tile_scalar, ttm_cols_scalar,
+// ttm_mode0_scalar: plain nested loops) and a vector implementation in
+// microkernel_level.inc, compiled once per ISA level:
+//  - kBaseline: the build's own target (SSE2 on x86-64), 16-byte vectors;
+//  - kAvx2: 32-byte vectors;
+//  - kAvx512 (F/VL/DQ/BW): 64-byte vectors.
+// Each level lives in its own namespace (isa_baseline, isa_avx2,
+// isa_avx512), so no two levels share a mangled name, and the levels above
+// the baseline are compiled only where the compiler has per-function
+// targets (GCC on x86-64). At start-up the highest level the CPU and OS
+// support becomes `kernel_variant()`; the TUCKER_SIMD=OFF build defaults to
+// kScalar instead. Tests force any level the host runs through
+// set_kernel_variant() and assert every level is bitwise identical to the
+// scalar oracle over shape/stride/special-value sweeps
+// (kernel_equivalence_test.cpp). Callers fetch the active level's kernels
+// once per tile loop or column range with micro_kernels().
 //
 // Why bitwise determinism survives vectorization: every C element keeps a
 // private accumulator, initialized from C and updated once per k step in
@@ -23,9 +31,9 @@
 // Lanes never exchange or reduce into each other, so vector width, tile
 // shape, cache-block sizes and thread partition all change *where* the
 // arithmetic runs, never *what* is accumulated into which element in which
-// order. The only remaining degree of freedom is FMA contraction, which the
-// compiler applies uniformly to both kernels in this translation unit at
-// fixed flags -- the equivalence tests pin that assumption.
+// order. The only remaining degree of freedom is FMA contraction, which is
+// pinned off twice: by -ffp-contract=off in the root CMakeLists.txt, and
+// by an optimize pragma over the level kernels themselves.
 //
 // Packed layouts (zero-padded to full tiles):
 //  - A panel: ceil(ib/MR) sub-panels of kn*MR values, sub-panel p holding
@@ -42,14 +50,16 @@
 // TA; the float*float products are exact in double, so the per-element
 // error drops from O(k)*eps_s to one storage rounding per spill. The
 // determinism argument is unchanged: accumulators are still private and
-// k-ordered, so thread width / SIMD width / tile shape never change bits
+// k-ordered, so thread width / ISA level / tile shape never change bits
 // for either TA instantiation.
 
 #include <algorithm>
 #include <cstddef>
 #include <type_traits>
+#include <vector>
 
 #include "blas/matview.hpp"
+#include "common/check.hpp"
 
 #ifndef TUCKER_SIMD
 #define TUCKER_SIMD 1
@@ -61,32 +71,76 @@
 #define TUCKER_HAVE_VEC_EXT 0
 #endif
 
-// The wide-accumulator SIMD kernels manipulate 64-byte double vectors,
-// which gcc flags with -Wpsabi ("vector return without AVX512F changes the
-// ABI") even though every such value is produced and consumed inside one
-// inlined kernel body -- no cross-TU vector call ever exists. Silence the
-// note for this header.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
+// Levels above the baseline need `#pragma GCC target`.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define TUCKER_ISA_LEVELS 1
+#else
+#define TUCKER_ISA_LEVELS 0
+#endif
 
 namespace tucker::blas::detail {
 
-/// Register tile shape. MR x NR accumulators fit comfortably in 16
-/// architectural vector registers at every vector width from SSE2 (NR=8
-/// doubles = 4 x 128-bit) to AVX-512 (1 x 512-bit), leaving room for the
-/// A broadcast and the B load.
+/// Register tile shape. Each accumulator row is NR lanes: whole native
+/// vectors at every level (see Row in microkernel_level.inc).
 inline constexpr index_t kMicroMR = 4;
 inline constexpr index_t kMicroNR = 8;
 
-enum class KernelVariant { kSimd, kScalar };
+/// Micro-kernel implementations, in ascending order of vector width.
+enum class KernelVariant { kScalar, kBaseline, kAvx2, kAvx512 };
 
-/// Active micro-kernel implementation. Defaults to the TUCKER_SIMD build
-/// option; tests swap it at runtime to compare variants within one binary.
-/// Not meant to be flipped while kernels are in flight.
-inline KernelVariant& kernel_variant() {
+inline const char* kernel_variant_name(KernelVariant v) {
+  switch (v) {
+    case KernelVariant::kScalar: return "scalar";
+    case KernelVariant::kBaseline: return "baseline";
+    case KernelVariant::kAvx2: return "avx2";
+    case KernelVariant::kAvx512: return "avx512";
+  }
+  return "unknown";
+}
+
+/// Highest level this CPU and OS run, detected once. __builtin_cpu_supports
+/// reports AVX2 and AVX-512 only when the OS saves their register state.
+inline KernelVariant detected_kernel_variant() {
+  static const KernelVariant level = [] {
+#if TUCKER_ISA_LEVELS
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512bw"))
+      return KernelVariant::kAvx512;
+    if (__builtin_cpu_supports("avx2")) return KernelVariant::kAvx2;
+#endif
+    return KernelVariant::kBaseline;
+  }();
+  return level;
+}
+
+/// The scalar oracle and every level up to the detected one, ascending.
+inline std::vector<KernelVariant> supported_kernel_variants() {
+  std::vector<KernelVariant> out;
+  for (int v = 0; v <= static_cast<int>(detected_kernel_variant()); ++v)
+    out.push_back(static_cast<KernelVariant>(v));
+  return out;
+}
+
+inline KernelVariant& active_kernel_variant() {
   static KernelVariant v =
-      TUCKER_SIMD ? KernelVariant::kSimd : KernelVariant::kScalar;
+      TUCKER_SIMD ? detected_kernel_variant() : KernelVariant::kScalar;
   return v;
+}
+
+/// Active micro-kernel implementation: the detected level, or kScalar in
+/// the TUCKER_SIMD=OFF build.
+inline KernelVariant kernel_variant() { return active_kernel_variant(); }
+
+/// Forces a level (tests and benches compare levels within one binary).
+/// A level the host cannot run is refused here rather than by SIGILL. Not
+/// meant to be called while kernels are in flight.
+inline void set_kernel_variant(KernelVariant v) {
+  TUCKER_CHECK(v >= KernelVariant::kScalar && v <= detected_kernel_variant(),
+               "set_kernel_variant: this host does not run that ISA level");
+  active_kernel_variant() = v;
 }
 
 inline index_t round_up(index_t v, index_t unit) {
@@ -164,8 +218,7 @@ void pack_b(MatView<const T> b, index_t k0, index_t kn, index_t j0,
 /// tile is TA; C is loaded (widened) once and stored (rounded) once per
 /// call, so a gemm k-block is exactly one TA accumulation run.
 template <class T, class TA = T>
-inline void mk_tile_scalar(index_t kn, const T* ap, const T* bp, T* c,
-                           index_t ldc) {
+void mk_tile_scalar(index_t kn, const T* ap, const T* bp, T* c, index_t ldc) {
   TA acc[kMicroMR][kMicroNR];
   for (index_t r = 0; r < kMicroMR; ++r)
     for (index_t j = 0; j < kMicroNR; ++j)
@@ -182,80 +235,6 @@ inline void mk_tile_scalar(index_t kn, const T* ap, const T* bp, T* c,
       c[r * ldc + j] = static_cast<T>(acc[r][j]);
 }
 
-#if TUCKER_HAVE_VEC_EXT
-
-template <class T>
-struct MicroVec {
-  // Element-aligned (not vector-aligned) so loads/stores may hit any C row;
-  // may_alias because we access T arrays through it. For TA = double under
-  // float storage the accumulator vector is 64 bytes wide; the compiler
-  // legalizes it to however many hardware registers the target has.
-  typedef T type __attribute__((vector_size(kMicroNR * sizeof(T)),
-                                aligned(alignof(T)), may_alias));
-};
-
-/// Lane-wise conversion between the NR-wide vector types of two scalar
-/// types; the identity when they match (so the native instantiations are
-/// untouched). Always inlined into the kernels, so the by-value vector
-/// "ABI" gcc warns about (-Wpsabi) never materializes as a real call.
-template <class To, class From>
-__attribute__((always_inline)) inline typename MicroVec<To>::type convert_vec(
-    typename MicroVec<From>::type v) {
-  if constexpr (std::is_same_v<To, From>) {
-    return v;
-  } else {
-    return __builtin_convertvector(v, typename MicroVec<To>::type);
-  }
-}
-
-/// SIMD micro-kernel: one NR-wide vector accumulator per C row. Identical
-/// per-element arithmetic to mk_tile_scalar (see header comment).
-template <class T, class TA = T>
-inline void mk_tile_simd(index_t kn, const T* ap, const T* bp, T* c,
-                         index_t ldc) {
-  using vec = typename MicroVec<T>::type;
-  using avec = typename MicroVec<TA>::type;
-  static_assert(kMicroMR == 4, "unrolled for MR = 4");
-  avec acc0 = convert_vec<TA, T>(*reinterpret_cast<const vec*>(c + 0 * ldc));
-  avec acc1 = convert_vec<TA, T>(*reinterpret_cast<const vec*>(c + 1 * ldc));
-  avec acc2 = convert_vec<TA, T>(*reinterpret_cast<const vec*>(c + 2 * ldc));
-  avec acc3 = convert_vec<TA, T>(*reinterpret_cast<const vec*>(c + 3 * ldc));
-  for (index_t kk = 0; kk < kn; ++kk) {
-    const T* av = ap + kk * kMicroMR;
-    const avec bv =
-        convert_vec<TA, T>(*reinterpret_cast<const vec*>(bp + kk * kMicroNR));
-    acc0 += static_cast<TA>(av[0]) * bv;
-    acc1 += static_cast<TA>(av[1]) * bv;
-    acc2 += static_cast<TA>(av[2]) * bv;
-    acc3 += static_cast<TA>(av[3]) * bv;
-  }
-  *reinterpret_cast<vec*>(c + 0 * ldc) = convert_vec<T, TA>(acc0);
-  *reinterpret_cast<vec*>(c + 1 * ldc) = convert_vec<T, TA>(acc1);
-  *reinterpret_cast<vec*>(c + 2 * ldc) = convert_vec<T, TA>(acc2);
-  *reinterpret_cast<vec*>(c + 3 * ldc) = convert_vec<T, TA>(acc3);
-}
-
-#else  // !TUCKER_HAVE_VEC_EXT: the SIMD entry point degrades to scalar.
-
-template <class T, class TA = T>
-inline void mk_tile_simd(index_t kn, const T* ap, const T* bp, T* c,
-                         index_t ldc) {
-  mk_tile_scalar<T, TA>(kn, ap, bp, c, ldc);
-}
-
-#endif  // TUCKER_HAVE_VEC_EXT
-
-/// Dispatches one full MR x NR tile on the active variant.
-template <class T, class TA = T>
-inline void mk_tile(bool simd, index_t kn, const T* ap, const T* bp, T* c,
-                    index_t ldc) {
-  if (simd) {
-    mk_tile_simd<T, TA>(kn, ap, bp, c, ldc);
-  } else {
-    mk_tile_scalar<T, TA>(kn, ap, bp, c, ldc);
-  }
-}
-
 // ------------------------------------------------------ TTM kernels
 //
 // The ST-HOSVD truncation TTM multiplies every unfolding block by the same
@@ -263,13 +242,13 @@ inline void mk_tile(bool simd, index_t kn, const T* ap, const T* bp, T* c,
 // gemm above is bound by panel-packing traffic, not arithmetic: pack_b
 // copies each X block once per k-block before the micro-kernel reads the
 // copy, tripling the streamed bytes of a kernel whose arithmetic intensity
-// is only ~R/4 flops per byte. The two kernels below read X straight from
+// is only ~R/4 flops per byte. The kernels below read X straight from
 // the unfolding (the caller chunks columns so any re-reads across register
 // row-groups stay cache-resident) and preserve the reference
 // accumulation chain: every output element starts from zero and accumulates
 // `c += a * b` once per k step in ascending k order, exactly as the packed
-// micro-kernel does, so the engines are bitwise-interchangeable. Both come
-// in the same scalar/SIMD pair as mk_tile and dispatch on kernel_variant().
+// micro-kernel does, so the engines are bitwise-interchangeable. Each has
+// the same scalar reference / per-level pair as the tile.
 
 /// Largest factor-row count R routed to the packing-free TTM kernels; above
 /// it the output slab no longer stays cache-resident and the packed gemm
@@ -283,17 +262,16 @@ inline constexpr index_t kTtmAxpyMaxR = 64;
 /// ldc. The scalar variant zero-fills its C range and accumulates row
 /// updates; its per-element chain -- start from zero, one `c += a * b` per
 /// k step in ascending k order -- is exactly the chain of the register-tile
-/// SIMD variant and of the packed gemm, so all three are interchangeable
+/// and streaming walks and of the packed gemm, so all are interchangeable
 /// bit for bit.
 /// The output slab C is typed on the accumulator TA: natively that is the
 /// destination itself; under wide accumulation the caller hands a TA
 /// scratch slab and rounds it to storage once at the end (ttm.hpp), so
-/// every element still sees a single full-k TA chain and the walks below
+/// every element still sees a single full-k TA chain and the walks
 /// stay bitwise-interchangeable.
 template <class T, class TA>
-inline void ttm_cols_scalar(index_t m, index_t k, const T* a, const T* b,
-                            index_t ldb, TA* c, index_t ldc, index_t j0,
-                            index_t j1) {
+void ttm_cols_scalar(index_t m, index_t k, const T* a, const T* b,
+                     index_t ldb, TA* c, index_t ldc, index_t j0, index_t j1) {
   for (index_t r = 0; r < m; ++r)
     for (index_t j = j0; j < j1; ++j) c[r * ldc + j] = TA(0);
   for (index_t kk = 0; kk < k; ++kk) {
@@ -307,201 +285,6 @@ inline void ttm_cols_scalar(index_t m, index_t k, const T* a, const T* b,
   }
 }
 
-#if TUCKER_HAVE_VEC_EXT
-
-/// SIMD variant of ttm_cols_scalar: C-stationary register tiles. Each
-/// MR x NR tile of C lives in registers across the whole k sweep (one
-/// B vector load and MR broadcasts per step), so -- unlike a row-update
-/// formulation, whose accumulators round-trip through cache every k step --
-/// the kernel is bound by the B stream. A is read directly from the staged
-/// factor (rows are k apart; no panel pack), B directly from the unfolding
-/// block. Row/column remainders run the same ascending-k chains with fewer
-/// accumulators.
-template <class T, class TA>
-inline void ttm_cols_simd(index_t m, index_t k, const T* a, const T* b,
-                          index_t ldb, TA* c, index_t ldc, index_t j0,
-                          index_t j1) {
-  using vec = typename MicroVec<T>::type;
-  using avec = typename MicroVec<TA>::type;
-  const index_t jv = j0 + (j1 - j0) / kMicroNR * kMicroNR;
-  static_assert(kMicroMR == 4, "unrolled for MR = 4");
-  index_t i = 0;
-  for (; i + kMicroMR <= m; i += kMicroMR) {
-    const T* a0 = a + (i + 0) * k;
-    const T* a1 = a + (i + 1) * k;
-    const T* a2 = a + (i + 2) * k;
-    const T* a3 = a + (i + 3) * k;
-    TA* c0 = c + (i + 0) * ldc;
-    TA* c1 = c + (i + 1) * ldc;
-    TA* c2 = c + (i + 2) * ldc;
-    TA* c3 = c + (i + 3) * ldc;
-    index_t j = j0;
-    for (; j < jv; j += kMicroNR) {
-      avec s0{}, s1{}, s2{}, s3{};
-      const T* bj = b + j;
-      for (index_t kk = 0; kk < k; ++kk) {
-        // The B walk is strided by ldb, which outruns hardware stride
-        // prefetchers at large leading dimensions; prefetch a few rows
-        // ahead (pure hint, no effect on values).
-        __builtin_prefetch(bj + (kk + 8) * ldb);
-        const avec bv = convert_vec<TA, T>(
-            *reinterpret_cast<const vec*>(bj + kk * ldb));
-        s0 += static_cast<TA>(a0[kk]) * bv;
-        s1 += static_cast<TA>(a1[kk]) * bv;
-        s2 += static_cast<TA>(a2[kk]) * bv;
-        s3 += static_cast<TA>(a3[kk]) * bv;
-      }
-      *reinterpret_cast<avec*>(c0 + j) = s0;
-      *reinterpret_cast<avec*>(c1 + j) = s1;
-      *reinterpret_cast<avec*>(c2 + j) = s2;
-      *reinterpret_cast<avec*>(c3 + j) = s3;
-    }
-    for (; j < j1; ++j) {
-      TA s0{}, s1{}, s2{}, s3{};
-      for (index_t kk = 0; kk < k; ++kk) {
-        const TA bv = static_cast<TA>(b[kk * ldb + j]);
-        s0 += static_cast<TA>(a0[kk]) * bv;
-        s1 += static_cast<TA>(a1[kk]) * bv;
-        s2 += static_cast<TA>(a2[kk]) * bv;
-        s3 += static_cast<TA>(a3[kk]) * bv;
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-      c2[j] = s2;
-      c3[j] = s3;
-    }
-  }
-  for (; i < m; ++i) {
-    const T* ai = a + i * k;
-    TA* ci = c + i * ldc;
-    index_t j = j0;
-    for (; j < jv; j += kMicroNR) {
-      avec s{};
-      const T* bj = b + j;
-      for (index_t kk = 0; kk < k; ++kk) {
-        __builtin_prefetch(bj + (kk + 8) * ldb);
-        s += static_cast<TA>(ai[kk]) *
-             convert_vec<TA, T>(
-                 *reinterpret_cast<const vec*>(bj + kk * ldb));
-      }
-      *reinterpret_cast<avec*>(ci + j) = s;
-    }
-    for (; j < j1; ++j) {
-      TA s{};
-      for (index_t kk = 0; kk < k; ++kk)
-        s += static_cast<TA>(ai[kk]) * static_cast<TA>(b[kk * ldb + j]);
-      ci[j] = s;
-    }
-  }
-}
-
-#else
-
-template <class T, class TA>
-inline void ttm_cols_simd(index_t m, index_t k, const T* a, const T* b,
-                          index_t ldb, TA* c, index_t ldc, index_t j0,
-                          index_t j1) {
-  ttm_cols_scalar(m, k, a, b, ldb, c, ldc, j0, j1);
-}
-
-#endif  // TUCKER_HAVE_VEC_EXT
-
-#if TUCKER_HAVE_VEC_EXT
-
-/// Streaming twin of ttm_cols_simd for DRAM-resident blocks: walks B rows
-/// sequentially (the unfolding block's natural layout, so the whole X
-/// stream is one forward walk at full sequential bandwidth) and applies
-/// each row as a rank-1 update to the C slab, four C rows per pass to
-/// amortize the shared B load. The caller chunks columns so the m x chunk
-/// C slab stays cache-resident across the k sweep. Per-element chain is
-/// identical to ttm_cols_scalar: zero start, one `c += a * b` per k step,
-/// ascending k.
-template <class T, class TA>
-inline void ttm_rows_simd(index_t m, index_t k, const T* a, const T* b,
-                          index_t ldb, TA* c, index_t ldc, index_t j0,
-                          index_t j1) {
-  using vec = typename MicroVec<T>::type;
-  using avec = typename MicroVec<TA>::type;
-  for (index_t r = 0; r < m; ++r)
-    for (index_t j = j0; j < j1; ++j) c[r * ldc + j] = TA(0);
-  const index_t jv = j0 + (j1 - j0) / kMicroNR * kMicroNR;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const T* bv = b + kk * ldb;
-    index_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const TA a0 = static_cast<TA>(a[(i + 0) * k + kk]);
-      const TA a1 = static_cast<TA>(a[(i + 1) * k + kk]);
-      const TA a2 = static_cast<TA>(a[(i + 2) * k + kk]);
-      const TA a3 = static_cast<TA>(a[(i + 3) * k + kk]);
-      TA* c0 = c + (i + 0) * ldc;
-      TA* c1 = c + (i + 1) * ldc;
-      TA* c2 = c + (i + 2) * ldc;
-      TA* c3 = c + (i + 3) * ldc;
-      index_t j = j0;
-      for (; j < jv; j += kMicroNR) {
-        // Keep several B lines in flight ahead of the walk (pure hint).
-        __builtin_prefetch(bv + j + 16 * kMicroNR);
-        const avec bw =
-            convert_vec<TA, T>(*reinterpret_cast<const vec*>(bv + j));
-        avec* w0 = reinterpret_cast<avec*>(c0 + j);
-        avec* w1 = reinterpret_cast<avec*>(c1 + j);
-        avec* w2 = reinterpret_cast<avec*>(c2 + j);
-        avec* w3 = reinterpret_cast<avec*>(c3 + j);
-        *w0 += a0 * bw;
-        *w1 += a1 * bw;
-        *w2 += a2 * bw;
-        *w3 += a3 * bw;
-      }
-      for (; j < j1; ++j) {
-        const TA bs = static_cast<TA>(bv[j]);
-        c0[j] += a0 * bs;
-        c1[j] += a1 * bs;
-        c2[j] += a2 * bs;
-        c3[j] += a3 * bs;
-      }
-    }
-    for (; i < m; ++i) {
-      const TA ai = static_cast<TA>(a[i * k + kk]);
-      TA* ci = c + i * ldc;
-      index_t j = j0;
-      for (; j < jv; j += kMicroNR) {
-        avec* w = reinterpret_cast<avec*>(ci + j);
-        *w += ai * convert_vec<TA, T>(*reinterpret_cast<const vec*>(bv + j));
-      }
-      for (; j < j1; ++j) ci[j] += ai * static_cast<TA>(bv[j]);
-    }
-  }
-}
-
-#else
-
-template <class T, class TA>
-inline void ttm_rows_simd(index_t m, index_t k, const T* a, const T* b,
-                          index_t ldb, TA* c, index_t ldc, index_t j0,
-                          index_t j1) {
-  ttm_cols_scalar(m, k, a, b, ldb, c, ldc, j0, j1);
-}
-
-#endif  // TUCKER_HAVE_VEC_EXT
-
-/// Dispatches one column range of a TTM block. `stream` selects the
-/// B-walk: register tiles over a cache-resident block, or the sequential
-/// row-update walk for DRAM-resident blocks. All variants share one
-/// per-element accumulation chain, so engine, variant and walk order are
-/// bitwise-interchangeable (for either accumulator width).
-template <class T, class TA>
-inline void ttm_cols(bool simd, bool stream, index_t m, index_t k, const T* a,
-                     const T* b, index_t ldb, TA* c, index_t ldc, index_t j0,
-                     index_t j1) {
-  if (!simd) {
-    ttm_cols_scalar(m, k, a, b, ldb, c, ldc, j0, j1);
-  } else if (stream) {
-    ttm_rows_simd(m, k, a, b, ldb, c, ldc, j0, j1);
-  } else {
-    ttm_cols_simd(m, k, a, b, ldb, c, ldc, j0, j1);
-  }
-}
-
 /// Mode-0 TTM kernel: for each column c in [c0, c1) of the column-major
 /// mode-0 unfolding (columns are contiguous I_0-fibers), computes the
 /// length-r output fiber y_c = U x_c with a register/stack accumulator.
@@ -510,8 +293,8 @@ inline void ttm_cols(bool simd, bool stream, index_t m, index_t k, const T* a,
 /// this replaces the strided `.t()` gemm views of the reference path.
 /// Requires r <= kTtmAxpyMaxR.
 template <class T, class TA = T>
-inline void ttm_mode0_scalar(index_t k, index_t r, const T* ut, index_t ldut,
-                             const T* x, T* y, index_t c0, index_t c1) {
+void ttm_mode0_scalar(index_t k, index_t r, const T* ut, index_t ldut,
+                      const T* x, T* y, index_t c0, index_t c1) {
   TA acc[kTtmAxpyMaxR];
   for (index_t c = c0; c < c1; ++c) {
     const T* xc = x + c * k;
@@ -526,126 +309,112 @@ inline void ttm_mode0_scalar(index_t k, index_t r, const T* ut, index_t ldut,
   }
 }
 
+template <class T>
+using TileFn = void (*)(index_t kn, const T* ap, const T* bp, T* c,
+                        index_t ldc);
+template <class T, class TA>
+using TtmColsFn = void (*)(index_t m, index_t k, const T* a, const T* b,
+                           index_t ldb, TA* c, index_t ldc, index_t j0,
+                           index_t j1);
+template <class T>
+using TtmMode0Fn = void (*)(index_t k, index_t r, const T* ut, index_t ldut,
+                            const T* x, T* y, index_t c0, index_t c1);
+
+/// One level's kernels. `ttm_cols` is the register-tile walk over a
+/// cache-resident block, `ttm_rows` the sequential row-update walk for
+/// DRAM-resident blocks; the scalar oracle has one walk for both.
+template <class T, class TA>
+struct MicroKernels {
+  TileFn<T> tile;
+  TtmColsFn<T, TA> ttm_cols;
+  TtmColsFn<T, TA> ttm_rows;
+  TtmMode0Fn<T> ttm_mode0;
+};
+
+}  // namespace tucker::blas::detail
+
+// ------------------------------------------------------ per-level kernels
+
 #if TUCKER_HAVE_VEC_EXT
 
-/// SIMD twin of ttm_mode0_scalar, specialized at compile time on the number
-/// of NR-wide accumulator vectors NV = ceil(r / NR) so the accumulators are
-/// register-resident (a runtime-length accumulator array spills to the
-/// stack and turns every k step into a load/store round-trip). Small NV
-/// processes two columns per pass for extra independent FMA chains; large
-/// NV has enough chains per column. ldut padding keeps the trailing lanes
-/// at exact zero, and those lanes are never stored. Per-element arithmetic
-/// is identical to the scalar kernel.
-template <class T, class TA, int NV>
-inline void ttm_mode0_cols_nv(index_t k, index_t r, const T* ut, index_t ldut,
-                              const T* x, T* y, index_t c0, index_t c1) {
-  using vec = typename MicroVec<T>::type;
-  using avec = typename MicroVec<TA>::type;
-  auto store_fiber = [r](const avec* acc, T* yc) {
-    index_t q = 0;
-    for (; (q + 1) * kMicroNR <= r; ++q)
-      *reinterpret_cast<vec*>(yc + q * kMicroNR) = convert_vec<T, TA>(acc[q]);
-    for (index_t j = q * kMicroNR; j < r; ++j)
-      yc[j] = static_cast<T>(acc[q][j - q * kMicroNR]);
-  };
-  index_t c = c0;
-  // Pair columns only while 2*NV accumulators plus the U row still fit the
-  // architectural register file; beyond that the chains per column already
-  // cover FMA latency and pairing would spill.
-  if constexpr (NV <= 2) {
-    for (; c + 2 <= c1; c += 2) {
-      const T* xa = x + c * k;
-      const T* xb = xa + k;
-      avec sa[NV], sb[NV];
-      for (int q = 0; q < NV; ++q) {
-        sa[q] = avec{};
-        sb[q] = avec{};
-      }
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* urow = ut + kk * ldut;
-        const TA va = static_cast<TA>(xa[kk]);
-        const TA vb = static_cast<TA>(xb[kk]);
-        for (int q = 0; q < NV; ++q) {
-          const avec uw = convert_vec<TA, T>(
-              *reinterpret_cast<const vec*>(urow + q * kMicroNR));
-          sa[q] += va * uw;
-          sb[q] += vb * uw;
-        }
-      }
-      store_fiber(sa, y + c * r);
-      store_fiber(sb, y + (c + 1) * r);
-    }
-  }
-  for (; c < c1; ++c) {
-    const T* xc = x + c * k;
-    avec s[NV];
-    for (int q = 0; q < NV; ++q) s[q] = avec{};
-    for (index_t kk = 0; kk < k; ++kk) {
-      const T* urow = ut + kk * ldut;
-      const TA xv = static_cast<TA>(xc[kk]);
-      for (int q = 0; q < NV; ++q)
-        s[q] += xv * convert_vec<TA, T>(
-                         *reinterpret_cast<const vec*>(urow + q * kMicroNR));
-    }
-    store_fiber(s, y + c * r);
-  }
-}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
 
-template <class T, class TA = T>
-inline void ttm_mode0_simd(index_t k, index_t r, const T* ut, index_t ldut,
-                           const T* x, T* y, index_t c0, index_t c1) {
-  static_assert(kTtmAxpyMaxR / kMicroNR == 8, "dispatch covers NV = 1..8");
-  switch ((r + kMicroNR - 1) / kMicroNR) {
-    case 1: return ttm_mode0_cols_nv<T, TA, 1>(k, r, ut, ldut, x, y, c0, c1);
-    case 2: return ttm_mode0_cols_nv<T, TA, 2>(k, r, ut, ldut, x, y, c0, c1);
-    case 3: return ttm_mode0_cols_nv<T, TA, 3>(k, r, ut, ldut, x, y, c0, c1);
-    case 4: return ttm_mode0_cols_nv<T, TA, 4>(k, r, ut, ldut, x, y, c0, c1);
-    case 5: return ttm_mode0_cols_nv<T, TA, 5>(k, r, ut, ldut, x, y, c0, c1);
-    case 6: return ttm_mode0_cols_nv<T, TA, 6>(k, r, ut, ldut, x, y, c0, c1);
-    case 7: return ttm_mode0_cols_nv<T, TA, 7>(k, r, ut, ldut, x, y, c0, c1);
-    case 8: return ttm_mode0_cols_nv<T, TA, 8>(k, r, ut, ldut, x, y, c0, c1);
-    default: return ttm_mode0_scalar<T, TA>(k, r, ut, ldut, x, y, c0, c1);
-  }
-}
+namespace tucker::blas::detail::isa_baseline {
+inline constexpr index_t kVecBytes = 16;
+inline constexpr int kVecRegs = 16;
+#include "blas/microkernel_level.inc"
+}  // namespace tucker::blas::detail::isa_baseline
 
-#else
+#if TUCKER_ISA_LEVELS
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace tucker::blas::detail::isa_avx2 {
+inline constexpr index_t kVecBytes = 32;
+inline constexpr int kVecRegs = 16;
+#include "blas/microkernel_level.inc"
+}  // namespace tucker::blas::detail::isa_avx2
+#pragma GCC pop_options
 
-template <class T, class TA = T>
-inline void ttm_mode0_simd(index_t k, index_t r, const T* ut, index_t ldut,
-                           const T* x, T* y, index_t c0, index_t c1) {
-  ttm_mode0_scalar<T, TA>(k, r, ut, ldut, x, y, c0, c1);
-}
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512vl,avx512dq,avx512bw")
+namespace tucker::blas::detail::isa_avx512 {
+inline constexpr index_t kVecBytes = 64;
+inline constexpr int kVecRegs = 32;
+#include "blas/microkernel_level.inc"
+}  // namespace tucker::blas::detail::isa_avx512
+#pragma GCC pop_options
+
+#endif  // TUCKER_ISA_LEVELS
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 #endif  // TUCKER_HAVE_VEC_EXT
 
+namespace tucker::blas::detail {
+
+/// The kernels of level `v` (the tables are data, so no code of a level
+/// runs before the level is chosen).
 template <class T, class TA = T>
-inline void ttm_mode0_cols(bool simd, index_t k, index_t r, const T* ut,
-                           index_t ldut, const T* x, T* y, index_t c0,
-                           index_t c1) {
-  if (simd) {
-    ttm_mode0_simd<T, TA>(k, r, ut, ldut, x, y, c0, c1);
-  } else {
-    ttm_mode0_scalar<T, TA>(k, r, ut, ldut, x, y, c0, c1);
+MicroKernels<T, TA> micro_kernels(KernelVariant v = kernel_variant()) {
+  switch (v) {
+    case KernelVariant::kScalar:
+      break;
+#if TUCKER_ISA_LEVELS
+    case KernelVariant::kAvx512:
+      return isa_avx512::kKernels<T, TA>;
+    case KernelVariant::kAvx2:
+      return isa_avx2::kKernels<T, TA>;
+#endif
+    default:
+#if TUCKER_HAVE_VEC_EXT
+      return isa_baseline::kKernels<T, TA>;
+#else
+      break;
+#endif
   }
+  return {&mk_tile_scalar<T, TA>, &ttm_cols_scalar<T, TA>,
+          &ttm_cols_scalar<T, TA>, &ttm_mode0_scalar<T, TA>};
 }
 
 /// Edge tile (mr < MR and/or nr < NR): runs the full kernel into a local
 /// MR x NR buffer seeded from the live C entries, then stores back only the
 /// live region. Padded A rows / B columns are zero, so the live elements
 /// see exactly the same accumulation chain as in a full tile.
-template <class T, class TA = T>
-inline void mk_tile_edge(bool simd, index_t kn, const T* ap, const T* bp,
-                         T* c, index_t ldc, index_t mr, index_t nr) {
+template <class T>
+void mk_tile_edge(TileFn<T> tile, index_t kn, const T* ap, const T* bp, T* c,
+                  index_t ldc, index_t mr, index_t nr) {
   T ctmp[kMicroMR * kMicroNR];
   for (index_t r = 0; r < kMicroMR; ++r)
     for (index_t j = 0; j < kMicroNR; ++j)
-      ctmp[r * kMicroNR + j] =
-          (r < mr && j < nr) ? c[r * ldc + j] : T(0);
-  mk_tile<T, TA>(simd, kn, ap, bp, ctmp, kMicroNR);
+      ctmp[r * kMicroNR + j] = (r < mr && j < nr) ? c[r * ldc + j] : T(0);
+  tile(kn, ap, bp, ctmp, kMicroNR);
   for (index_t r = 0; r < mr; ++r)
     for (index_t j = 0; j < nr; ++j) c[r * ldc + j] = ctmp[r * kMicroNR + j];
 }
 
 }  // namespace tucker::blas::detail
-
-#pragma GCC diagnostic pop

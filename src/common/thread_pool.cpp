@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/flops.hpp"
+#include "common/workspace.hpp"
 
 namespace tucker::parallel {
 
@@ -153,6 +154,8 @@ class Pool {
   // Claims and executes chunks until none remain. Exceptions are captured
   // (first wins) rather than aborting the remaining chunks, so `done`
   // always reaches nchunks and the submitter can rethrow deterministically.
+  // Every chunk runs on its thread's chunk arena, so no chunk's scratch
+  // lands in the submitter's own arena, whichever chunks it claims.
   void drain(Fanout& job, bool on_worker) {
     for (;;) {
       const index_t t = job.next.fetch_add(1, std::memory_order_relaxed);
@@ -162,6 +165,7 @@ class Pool {
       const std::int64_t flops0 = on_worker ? thread_flops() : 0;
       const std::int64_t bytes0 = on_worker ? thread_traffic() : 0;
       try {
+        const Workspace::ChunkScope chunk_arena;
         job.body(t, lo, hi);
       } catch (...) {
         std::lock_guard<std::mutex> g(job.eptr_mutex);

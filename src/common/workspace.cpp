@@ -15,12 +15,22 @@ namespace {
 constexpr std::size_t kMinBlock = std::size_t{1} << 16;  // 64 KiB
 constexpr std::size_t kAlign = 64;
 
+// The arena local() returns instead of the thread's own, if any.
+thread_local Workspace* t_redirect = nullptr;
+
 }  // namespace
 
 Workspace& Workspace::local() {
   static thread_local Workspace ws;
-  return ws;
+  return t_redirect ? *t_redirect : ws;
 }
+
+Workspace::ChunkScope::ChunkScope() : prev_(t_redirect) {
+  static thread_local Workspace chunk_ws;
+  t_redirect = &chunk_ws;
+}
+
+Workspace::ChunkScope::~ChunkScope() { t_redirect = prev_; }
 
 void* Workspace::get_bytes(std::size_t bytes) {
   if (bytes == 0) return nullptr;

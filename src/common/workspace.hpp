@@ -15,7 +15,9 @@
 //    scratch obtained on one thread is never released by another. A caller
 //    may hand memory from its own arena to worker lambdas (they only write
 //    through the pointer), but workers request their *own* scratch from
-//    their own `local()`.
+//    their own `local()`. While a thread runs a chunk of a pool fanout,
+//    `local()` is its second, chunk arena (ChunkScope), so the chunks a
+//    submitting thread happens to claim never move its own arena's marks.
 //  - `get<T>(n)` pointers are valid until the enclosing `Frame` is
 //    destroyed. Frames nest like stack frames; kernels that call other
 //    kernels simply open their own frame.
@@ -50,8 +52,25 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// The calling thread's workspace (thread-local, lazily constructed).
+  /// The calling thread's workspace (thread-local, lazily constructed):
+  /// its own arena, or its chunk arena inside a ChunkScope.
   static Workspace& local();
+
+  /// RAII: while alive, local() on this thread returns the thread's chunk
+  /// arena, a second thread-local Workspace. The thread pool opens one
+  /// around every chunk of a fanout, on whichever thread runs it, so a
+  /// submitting thread's own arena counts its own frames alone: its high
+  /// water and reservation do not depend on which chunks it claims.
+  class ChunkScope {
+   public:
+    ChunkScope();
+    ~ChunkScope();
+    ChunkScope(const ChunkScope&) = delete;
+    ChunkScope& operator=(const ChunkScope&) = delete;
+
+   private:
+    Workspace* prev_;
+  };
 
   /// RAII allocation mark: on destruction every `get` made since
   /// construction is released (the memory stays reserved for reuse).

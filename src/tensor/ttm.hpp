@@ -21,7 +21,7 @@
 //
 // The engines are bitwise identical: every Y element starts from zero and
 // accumulates one `y += u * x` per k step in ascending k order in both, so
-// engine choice, blocking, thread count and SIMD width never change the
+// engine choice, blocking, thread count and ISA level never change the
 // bits (see DESIGN.md Sec 10).
 //
 // Wide accumulation (Accum::kWide on ttm_into): the packed engine's
@@ -32,7 +32,7 @@
 // therefore agree bitwise whenever the contracted dimension fits one gemm
 // k block (k <= TUCKER_GEMM_KB) -- the truncation TTMs the drivers issue --
 // and differ only in spill roundings beyond that. Each engine individually
-// remains bitwise thread/variant/partition-invariant at any k.
+// remains bitwise thread/level/partition-invariant at any k.
 
 #include <cstdlib>
 #include <string_view>
@@ -120,8 +120,8 @@ void ttm_reference_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
 }
 
 /// Column-chunk width for the cache-resident (register-tile) kernel:
-/// successive row-groups of ttm_cols_simd re-stream the k x chunk panel of
-/// X, so the chunk keeps that panel resident in the outer cache levels.
+/// successive row-groups of the ttm_cols walk re-stream the k x chunk panel
+/// of X, so the chunk keeps that panel resident in the outer cache levels.
 template <class T>
 index_t ttm_col_chunk(index_t k) {
   const index_t budget =
@@ -276,8 +276,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   const index_t r = u.rows();  // output mode size
   const index_t k = u.cols();  // contracted mode size
   const index_t width = parallel::this_thread_width();
-  const bool simd =
-      blas::detail::kernel_variant() == blas::detail::KernelVariant::kSimd;
+  const auto mk = blas::detail::micro_kernels<T, TA>();
   Workspace& ws = Workspace::local();
   auto scratch = ws.frame();
 
@@ -305,8 +304,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
     tucker::add_traffic(flops::gemm_bytes(r, cols, k, sizeof(T)));
     const double work = 2.0 * r * k * static_cast<double>(cols);
     auto run_cols = [&](index_t c0, index_t c1) {
-      blas::detail::ttm_mode0_cols<T, TA>(simd, k, r, ut, ldut, x.data(),
-                                          y.data(), c0, c1);
+      mk.ttm_mode0(k, r, ut, ldut, x.data(), y.data(), c0, c1);
     };
     if (width > 1 && work >= tune::par_flop_threshold()) {
       parallel::parallel_for(0, cols, 64, run_cols);
@@ -337,13 +335,14 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
         static_cast<std::size_t>(k * before) * sizeof(T) > 262144;
     const index_t chunk =
         stream ? ttm_row_chunk<T>(r) : ttm_col_chunk<T>(k);
+    const auto walk = stream ? mk.ttm_rows : mk.ttm_cols;
     auto run_block_cols = [&](index_t blk, index_t j0, index_t j1) {
       const T* xb = x.data() + blk * k * before;
       T* yb = y.data() + blk * r * before;
       if constexpr (std::is_same_v<T, TA>) {
         for (index_t c0 = j0; c0 < j1; c0 += chunk)
-          blas::detail::ttm_cols(simd, stream, r, k, upack, xb, before, yb,
-                                 before, c0, std::min(c0 + chunk, j1));
+          walk(r, k, upack, xb, before, yb, before, c0,
+               std::min(c0 + chunk, j1));
       } else {
         // Wide accumulation: the kernels' C argument is the accumulator, so
         // aim them at a chunk-sized TA slab (from the *calling* thread's
@@ -356,8 +355,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
         TA* slab = wws.get<TA>(static_cast<std::size_t>(r * chunk));
         for (index_t c0 = j0; c0 < j1; c0 += chunk) {
           const index_t len = std::min(c0 + chunk, j1) - c0;
-          blas::detail::ttm_cols(simd, stream, r, k, upack, xb + c0, before,
-                                 slab, len, index_t{0}, len);
+          walk(r, k, upack, xb + c0, before, slab, len, index_t{0}, len);
           for (index_t rr = 0; rr < r; ++rr) {
             const TA* srow = slab + rr * len;
             T* yrow = yb + rr * before + c0;

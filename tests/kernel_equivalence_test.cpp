@@ -1,11 +1,12 @@
 // Bitwise contracts of the register-tiled level-3 micro-kernels and the
 // Workspace arena:
-//  - the SIMD and scalar kernel variants produce bitwise-identical gemm and
-//    syrk results over a shape / stride / transpose sweep, including NaN and
-//    Inf propagation (so the TUCKER_SIMD build option can never change
-//    results);
-//  - both match a naive per-element serial-k reference, pinning the
+//  - every ISA level the host runs produces gemm and syrk results
+//    bitwise identical to the scalar oracle over a shape / stride /
+//    transpose sweep, including NaN and Inf propagation (so neither the
+//    host's level nor the TUCKER_SIMD build option can change results);
+//  - all match a naive per-element serial-k reference, pinning the
 //    accumulation chain the determinism guarantee is stated over;
+//  - forcing a level above the detected one is refused, not run;
 //  - Workspace frames rewind and hand back the same memory, gets within one
 //    frame never alias, and stash slots persist;
 //  - a repeated ttm_into loop performs zero heap allocations after warm-up
@@ -15,8 +16,9 @@
 //    and a warm call's heap use does not grow with its leaf count;
 //  - a warm Gram of a many-block middle mode makes no per-block heap
 //    allocation at width 4, and only its returned matrix at width 1;
-//  - sthosvd output is bitwise identical across kernel variants and thread
-//    counts.
+//  - sthosvd output is bitwise identical across kernel levels and thread
+//    counts, and full sthosvd, par_sthosvd and served results are bitwise
+//    identical at every level the host runs.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -34,8 +37,11 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
+#include "core/par_sthosvd.hpp"
 #include "core/sthosvd.hpp"
 #include "data/synthetic_tensor.hpp"
+#include "serve/service.hpp"
+#include "simmpi/runtime.hpp"
 #include "tensor/gram.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_lq.hpp"
@@ -120,12 +126,23 @@ using tucker::blas::Matrix;
 using tucker::blas::MatView;
 using tucker::blas::detail::KernelVariant;
 using tucker::blas::detail::kernel_variant;
+using tucker::blas::detail::kernel_variant_name;
+using tucker::blas::detail::set_kernel_variant;
+using tucker::blas::detail::supported_kernel_variants;
 
-// Restores the build-default kernel variant on scope exit.
+// Restores the kernel level the test found on entry.
 struct VariantGuard {
   KernelVariant saved = kernel_variant();
-  ~VariantGuard() { kernel_variant() = saved; }
+  ~VariantGuard() { set_kernel_variant(saved); }
 };
+
+// The vector levels this host runs: every supported level but the scalar
+// oracle they are compared with.
+std::vector<KernelVariant> vector_levels() {
+  auto levels = supported_kernel_variants();
+  levels.erase(levels.begin());
+  return levels;
+}
 
 // Restores the pool width the test found on entry.
 struct ThreadsGuard {
@@ -314,20 +331,24 @@ void gemm_variant_sweep() {
       for (index_t n : kSizes)
         for (index_t k : kSizes) {
           const Matrix<T> c0 = rand_mat<T>(m, n, 7);
-          Matrix<T> c_simd = c0;
-          kernel_variant() = KernelVariant::kSimd;
-          run_gemm_layout(lay, alpha, beta, m, n, k, c_simd);
           Matrix<T> c_scalar = c0;
-          kernel_variant() = KernelVariant::kScalar;
+          set_kernel_variant(KernelVariant::kScalar);
           run_gemm_layout(lay, alpha, beta, m, n, k, c_scalar);
-          ASSERT_TRUE(bitwise_equal(c_simd, c_scalar))
-              << "layout " << static_cast<int>(lay) << " m=" << m
-              << " n=" << n << " k=" << k;
           const Matrix<T> c_ref =
               ref_gemm_layout<T>(lay, alpha, beta, m, n, k, c0);
-          ASSERT_TRUE(bitwise_equal(c_simd, c_ref))
-              << "vs reference chain: layout " << static_cast<int>(lay)
-              << " m=" << m << " n=" << n << " k=" << k;
+          for (KernelVariant v : vector_levels()) {
+            Matrix<T> c_simd = c0;
+            set_kernel_variant(v);
+            run_gemm_layout(lay, alpha, beta, m, n, k, c_simd);
+            ASSERT_TRUE(bitwise_equal(c_simd, c_scalar))
+                << kernel_variant_name(v) << " layout "
+                << static_cast<int>(lay) << " m=" << m << " n=" << n
+                << " k=" << k;
+            ASSERT_TRUE(bitwise_equal(c_simd, c_ref))
+                << kernel_variant_name(v) << " vs reference chain: layout "
+                << static_cast<int>(lay) << " m=" << m << " n=" << n
+                << " k=" << k;
+          }
         }
 }
 
@@ -347,19 +368,23 @@ void syrk_variant_sweep() {
           for (index_t j = 0; j <= i; ++j) c(i, j) = c(j, i) = T(i + j) / 8;
         return c;
       }();
-      Matrix<T> c_simd = c0;
-      kernel_variant() = KernelVariant::kSimd;
-      tucker::blas::syrk(alpha, MatView<const T>(a.view()), beta,
-                         c_simd.view());
       Matrix<T> c_scalar = c0;
-      kernel_variant() = KernelVariant::kScalar;
+      set_kernel_variant(KernelVariant::kScalar);
       tucker::blas::syrk(alpha, MatView<const T>(a.view()), beta,
                          c_scalar.view());
-      ASSERT_TRUE(bitwise_equal(c_simd, c_scalar)) << "m=" << m << " n=" << n;
       Matrix<T> c_ref = c0;
       ref_syrk(alpha, MatView<const T>(a.view()), beta, c_ref.view());
-      ASSERT_TRUE(bitwise_equal(c_simd, c_ref))
-          << "vs reference chain: m=" << m << " n=" << n;
+      for (KernelVariant v : vector_levels()) {
+        Matrix<T> c_simd = c0;
+        set_kernel_variant(v);
+        tucker::blas::syrk(alpha, MatView<const T>(a.view()), beta,
+                           c_simd.view());
+        ASSERT_TRUE(bitwise_equal(c_simd, c_scalar))
+            << kernel_variant_name(v) << " m=" << m << " n=" << n;
+        ASSERT_TRUE(bitwise_equal(c_simd, c_ref))
+            << kernel_variant_name(v) << " vs reference chain: m=" << m
+            << " n=" << n;
+      }
     }
 }
 
@@ -378,19 +403,26 @@ void special_value_propagation() {
   a(5, 0) = inf;   // row 5: +/- inf (or NaN where cancelled)
   b(2, 7) = nan;   // poisons column 7 of C
   Matrix<T> out[2];
-  for (int v = 0; v < 2; ++v) {
-    kernel_variant() = v == 0 ? KernelVariant::kSimd : KernelVariant::kScalar;
-    out[v] = Matrix<T>(m, n);
+  set_kernel_variant(KernelVariant::kScalar);
+  out[1] = Matrix<T>(m, n);
+  tucker::blas::gemm(T(1), MatView<const T>(a.view()),
+                     MatView<const T>(b.view()), T(0), out[1].view());
+  for (KernelVariant v : vector_levels()) {
+    set_kernel_variant(v);
+    out[0] = Matrix<T>(m, n);
     tucker::blas::gemm(T(1), MatView<const T>(a.view()),
-                       MatView<const T>(b.view()), T(0), out[v].view());
+                       MatView<const T>(b.view()), T(0), out[0].view());
+    ASSERT_TRUE(bitwise_equal(out[0], out[1])) << kernel_variant_name(v);
+    for (index_t j = 0; j < n; ++j)
+      EXPECT_TRUE(std::isnan(out[0](0, j))) << "j=" << j;
+    for (index_t i = 0; i < m; ++i)
+      EXPECT_TRUE(std::isnan(out[0](i, 7))) << "i=" << i;
+    for (index_t j = 0; j < n; ++j) {
+      if (j != 7) {
+        EXPECT_FALSE(std::isfinite(out[0](5, j))) << "j=" << j;
+      }
+    }
   }
-  ASSERT_TRUE(bitwise_equal(out[0], out[1]));
-  for (index_t j = 0; j < n; ++j)
-    EXPECT_TRUE(std::isnan(out[0](0, j))) << "j=" << j;
-  for (index_t i = 0; i < m; ++i)
-    EXPECT_TRUE(std::isnan(out[0](i, 7))) << "i=" << i;
-  for (index_t j = 0; j < n; ++j)
-    if (j != 7) EXPECT_FALSE(std::isfinite(out[0](5, j))) << "j=" << j;
 }
 
 TEST(KernelEquivalence, NanInfPropagationFloat) {
@@ -525,8 +557,8 @@ TEST(ZeroAllocTest, SthosvdReusesStashedScratch) {
 // ------------------------------------------------ TensorLQ tree memory
 
 TEST(TensorLqMemoryTest, ArenaHighWaterStaysBelowHalfTheUnfolding) {
-  // The caller's arena holds the leaf triangles and the leaf copies this
-  // thread runs -- never a copy of the whole unfolding.
+  // The caller's arena holds the leaf triangles (and, at width 1, the leaf
+  // copies) -- never a copy of the whole unfolding.
   auto x = tucker::data::random_tensor<double>({24, 40, 40, 10}, 35);
   ASSERT_GT(tucker::tensor::detail::lq_leaves(x, 0).count(), 1);
   Workspace& ws = Workspace::local();
@@ -596,11 +628,11 @@ TEST(KernelEquivalence, SthosvdBitwiseAcrossVariantsAndThreads) {
 
   std::vector<Tensor<double>> cores;
   std::vector<Matrix<double>> factor0s;
-  for (KernelVariant v : {KernelVariant::kSimd, KernelVariant::kScalar})
+  for (KernelVariant v : supported_kernel_variants())
     for (int threads : {1, 2, 4})
       for (auto method :
            {tucker::core::SvdMethod::kGram, tucker::core::SvdMethod::kQr}) {
-        kernel_variant() = v;
+        set_kernel_variant(v);
         tucker::parallel::set_max_threads(threads);
         auto r = tucker::core::sthosvd(x, spec, method);
         // Compare per method: entry index = method slot.
@@ -623,6 +655,105 @@ TEST(KernelEquivalence, SthosvdBitwiseAcrossVariantsAndThreads) {
             << "factor mismatch: variant=" << static_cast<int>(v)
             << " threads=" << threads << " method=" << static_cast<int>(slot);
       }
+}
+
+// --------------------------------- full results at every ISA level
+
+// Every byte of a Tucker result: the core, then each factor.
+template <class T>
+std::vector<unsigned char> tucker_bytes(
+    const tucker::core::TuckerTensor<T>& tk) {
+  std::vector<unsigned char> out;
+  auto append = [&out](const T* p, index_t n) {
+    const auto* b = reinterpret_cast<const unsigned char*>(p);
+    out.insert(out.end(), b, b + sizeof(T) * static_cast<std::size_t>(n));
+  };
+  append(tk.core.data(), tk.core.size());
+  for (const auto& u : tk.factors) append(u.data(), u.rows() * u.cols());
+  return out;
+}
+
+// The full results the level loop below compares: five sthosvd
+// configurations, one par_sthosvd on a 2 x 2 simmpi grid, one served
+// reconstruct and one served compress.
+std::vector<std::vector<unsigned char>> full_results_at_current_level() {
+  using tucker::Accum;
+  using tucker::core::SvdMethod;
+  using tucker::core::TruncationSpec;
+  using tucker::tensor::Tensor;
+  const auto x64 = tucker::data::random_tensor<double>({26, 20, 18}, 61);
+  const auto x32 = tucker::data::random_tensor<float>({26, 20, 18}, 62);
+  const auto spec = TruncationSpec::fixed_ranks({7, 6, 5});
+  std::vector<std::vector<unsigned char>> out;
+  out.push_back(
+      tucker_bytes(tucker::core::sthosvd(x32, spec, SvdMethod::kQr).tucker));
+  out.push_back(
+      tucker_bytes(tucker::core::sthosvd(x64, spec, SvdMethod::kQr).tucker));
+  out.push_back(
+      tucker_bytes(tucker::core::sthosvd(x64, spec, SvdMethod::kGram).tucker));
+  out.push_back(
+      tucker_bytes(tucker::core::sthosvd(x32, spec, SvdMethod::kRand).tucker));
+  out.push_back(tucker_bytes(tucker::core::sthosvd(x32, spec, SvdMethod::kGram,
+                                                   {}, {}, Accum::kWide)
+                                 .tucker));
+
+  std::vector<unsigned char> par;
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    tucker::dist::DistTensor<double> dt(
+        world, tucker::dist::ProcessorGrid({2, 2, 1}), x64.dims());
+    dt.fill_from(x64);
+    auto res = tucker::core::par_sthosvd(dt, spec, SvdMethod::kQr);
+    auto tk = res.gather_to_root();
+    if (world.rank() == 0) par = tucker_bytes(tk);
+  });
+  out.push_back(std::move(par));
+
+  tucker::serve::Service<double> svc(tucker::serve::ServeOptions{});
+  tucker::core::TuckerTensor<double> model =
+      tucker::core::sthosvd(x64, spec, SvdMethod::kQr).tucker;
+  tucker::serve::ReconstructRequest<double> rreq;
+  rreq.model = svc.register_model(std::move(model));
+  const Tensor<double> y = svc.submit(rreq).value().get().tensor;
+  const auto* yb = reinterpret_cast<const unsigned char*>(y.data());
+  out.emplace_back(yb, yb + sizeof(double) * static_cast<std::size_t>(y.size()));
+  tucker::serve::CompressRequest<double> creq;
+  creq.x = std::make_shared<const Tensor<double>>(x64);
+  creq.spec = spec;
+  creq.method = SvdMethod::kQr;
+  out.push_back(tucker_bytes(
+      svc.submit(std::move(creq)).value().get().result.tucker));
+  svc.stop();
+  return out;
+}
+
+TEST(KernelEquivalence, FullResultsBitwiseAcrossLevels) {
+  VariantGuard guard;
+  ThreadsGuard threads;
+  set_kernel_variant(KernelVariant::kScalar);
+  tucker::parallel::set_max_threads(1);
+  const auto ref = full_results_at_current_level();
+  for (KernelVariant v : supported_kernel_variants())
+    for (int width : {1, 4}) {
+      set_kernel_variant(v);
+      tucker::parallel::set_max_threads(width);
+      const auto got = full_results_at_current_level();
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(got[i].size(), ref[i].size()) << "result " << i;
+        EXPECT_EQ(std::memcmp(got[i].data(), ref[i].data(), ref[i].size()), 0)
+            << "result " << i << " level " << kernel_variant_name(v)
+            << " width " << width;
+      }
+    }
+}
+
+TEST(KernelEquivalenceDeathTest, ForcingAnUndetectedLevelIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The level above the detected one: a real level on a host without
+  // AVX-512, one past the last on a host with it. Either is refused.
+  const auto above = static_cast<KernelVariant>(
+      static_cast<int>(tucker::blas::detail::detected_kernel_variant()) + 1);
+  EXPECT_DEATH(set_kernel_variant(above), "does not run that ISA level");
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ struct ThreadsGuard {
 
 struct VariantGuard {
   blas::detail::KernelVariant prev = blas::detail::kernel_variant();
-  ~VariantGuard() { blas::detail::kernel_variant() = prev; }
+  ~VariantGuard() { blas::detail::set_kernel_variant(prev); }
 };
 
 struct EngineGuard {
@@ -175,10 +175,12 @@ TEST(WideAccumTest, GemmSyrkBitwiseAcrossThreadsAndVariants) {
     for (index_t j = 0; j < n; ++j)
       b(i, j) = static_cast<float>(rng.normal<double>());
 
+  // The first run, on the scalar oracle at width 1, is the reference for
+  // every ISA level the host runs.
   Matrix<float> c_ref, g_ref;
-  for (KernelVariant v : {KernelVariant::kSimd, KernelVariant::kScalar}) {
+  for (KernelVariant v : blas::detail::supported_kernel_variants()) {
     for (int threads : {1, 2, 7}) {
-      blas::detail::kernel_variant() = v;
+      blas::detail::set_kernel_variant(v);
       parallel::set_max_threads(threads);
       Matrix<float> c(m, n), g(m, m);
       blas::gemm<float, double>(1.0f, a.cview(), b.cview(), 0.0f, c.view());
@@ -189,9 +191,11 @@ TEST(WideAccumTest, GemmSyrkBitwiseAcrossThreadsAndVariants) {
         continue;
       }
       EXPECT_TRUE(bitwise_equal(c, c_ref))
-          << "gemm variant=" << static_cast<int>(v) << " threads=" << threads;
+          << "gemm level=" << blas::detail::kernel_variant_name(v)
+          << " threads=" << threads;
       EXPECT_TRUE(bitwise_equal(g, g_ref))
-          << "syrk variant=" << static_cast<int>(v) << " threads=" << threads;
+          << "syrk level=" << blas::detail::kernel_variant_name(v)
+          << " threads=" << threads;
     }
   }
 }

@@ -568,10 +568,10 @@ TEST_F(StreamDriverTest, DecomposesEightTimesTheBudgetWithinArenaBound) {
   EXPECT_GT(out.slabs_read, src.num_slabs());
 
   // The in-memory driver on the same tensor: same compression error, much
-  // larger arena peak (it factors whole unfoldings). Measured at width 1:
-  // wider, the TSQR tree's leaves run partly on pool workers, whose scratch
-  // this thread's arena mark does not see, so the mark would depend on
-  // which leaves the caller happened to claim.
+  // larger arena peak (it factors whole unfoldings). Measured at width 1,
+  // where every TSQR leaf runs in this thread's arena: wider, the leaves
+  // run on pool workers and on this thread's chunk arena, whose scratch
+  // this mark does not see.
   const WidthGuard one_thread(1);
   ws.reset_high_water();
   auto ref = core::sthosvd(x, spec, core::SvdMethod::kQr);

@@ -216,10 +216,10 @@ struct ThreadsGuard {
   ~ThreadsGuard() { parallel::set_max_threads(saved); }
 };
 
-// Restores the micro-kernel variant the test found on entry.
+// Restores the micro-kernel level the test found on entry.
 struct VariantGuard {
   blas::detail::KernelVariant saved = blas::detail::kernel_variant();
-  ~VariantGuard() { blas::detail::kernel_variant() = saved; }
+  ~VariantGuard() { blas::detail::set_kernel_variant(saved); }
 };
 
 template <class T>
@@ -262,8 +262,8 @@ Matrix<T> gram_chain(const Tensor<T>& x, std::size_t n) {
 }
 
 /// gram_of_unfolding(x, n) equals the written-out chain bit for bit at
-/// widths {1, 2, 3, 4, 7}, under both kernel variants and both
-/// accumulators.
+/// widths {1, 2, 3, 4, 7}, on the scalar oracle and every ISA level the
+/// host runs, and under both accumulators.
 template <class T>
 void expect_gram_chain(const Tensor<T>& x, std::size_t n) {
   using blas::detail::KernelVariant;
@@ -273,15 +273,15 @@ void expect_gram_chain(const Tensor<T>& x, std::size_t n) {
   const Matrix<T> wide = gram_chain<T, wide_t<T>>(x, n);
   for (int width : {1, 2, 3, 4, 7}) {
     parallel::set_max_threads(width);
-    for (KernelVariant v : {KernelVariant::kSimd, KernelVariant::kScalar}) {
-      blas::detail::kernel_variant() = v;
+    for (KernelVariant v : blas::detail::supported_kernel_variants()) {
+      blas::detail::set_kernel_variant(v);
       EXPECT_TRUE(same_bits(tensor::gram_of_unfolding(x, n), native))
           << "native, mode " << n << " m " << x.dim(n) << " width " << width
-          << " variant " << static_cast<int>(v);
+          << " level " << blas::detail::kernel_variant_name(v);
       EXPECT_TRUE(
           same_bits(tensor::gram_of_unfolding(x, n, Accum::kWide), wide))
           << "wide, mode " << n << " m " << x.dim(n) << " width " << width
-          << " variant " << static_cast<int>(v);
+          << " level " << blas::detail::kernel_variant_name(v);
     }
   }
 }

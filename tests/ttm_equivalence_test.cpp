@@ -2,7 +2,9 @@
 //  - packed and reference engines produce bitwise-identical results across
 //    thread widths {1, 2, 7}, every mode of 3- and 4-order tensors with
 //    odd/prime dims, rank-1 factors, short-fat (axpy/mode-0 kernel) and
-//    tall (prepacked-gemm kernel) factors, for both kernel variants;
+//    tall (prepacked-gemm kernel) factors; and the packed engine at every
+//    ISA level the host runs equals the reference engine on the scalar
+//    oracle;
 //  - both engines record identical flop totals;
 //  - the reference mode-0 staging of a fully strided factor view changes
 //    no bits;
@@ -29,6 +31,7 @@ namespace tucker {
 namespace {
 
 using blas::index_t;
+using blas::detail::KernelVariant;
 using tensor::Dims;
 using tensor::Tensor;
 using tensor::TtmEngine;
@@ -51,14 +54,19 @@ Tensor<double> low_rank_tensor(const Dims& dims,
   return y;
 }
 
-/// Runs ttm with the requested engine, leaving the previous engine in place.
+/// Runs ttm with the requested engine on the requested micro-kernel level
+/// (by default the active one), leaving the previous ones in place.
 template <class T>
 Tensor<T> run_engine(TtmEngine e, const Tensor<T>& x, std::size_t n,
-                     blas::MatView<const T> u) {
+                     blas::MatView<const T> u,
+                     KernelVariant level = blas::detail::kernel_variant()) {
   const TtmEngine prev = tensor::ttm_engine();
+  const KernelVariant prev_level = blas::detail::kernel_variant();
   tensor::ttm_engine() = e;
+  blas::detail::set_kernel_variant(level);
   Tensor<T> y = tensor::ttm(x, n, u);
   tensor::ttm_engine() = prev;
+  blas::detail::set_kernel_variant(prev_level);
   return y;
 }
 
@@ -74,9 +82,11 @@ void expect_bitwise_equal(const Tensor<T>& a, const Tensor<T>& b,
 /// Sweeps every mode of `dims` with truncation factors of each rank in
 /// `rank_list` (clamped to the mode size) plus one tall reconstruction
 /// factor, comparing packed vs reference bitwise at the current pool width.
+/// The reference runs on `ref_level` (by default the active level).
 template <class T>
 void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
-                 std::uint64_t seed) {
+                 std::uint64_t seed,
+                 KernelVariant ref_level = blas::detail::kernel_variant()) {
   auto x = data::random_tensor<T>(dims, seed);
   for (std::size_t n = 0; n < dims.size(); ++n) {
     for (index_t r0 : rank_list) {
@@ -88,7 +98,7 @@ void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
         for (index_t j = 0; j < f.cols(); ++j) f(i, j) = rng.normal<T>();
       auto ut = blas::MatView<const T>(f.view().t());
       auto yp = run_engine(TtmEngine::kPacked, x, n, ut);
-      auto yr = run_engine(TtmEngine::kReference, x, n, ut);
+      auto yr = run_engine(TtmEngine::kReference, x, n, ut, ref_level);
       expect_bitwise_equal(yp, yr,
                            "truncate mode " + std::to_string(n) + " rank " +
                                std::to_string(r));
@@ -102,22 +112,24 @@ void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
       for (index_t j = 0; j < u.cols(); ++j) u(i, j) = rng.normal<T>();
     auto uv = blas::MatView<const T>(u.view());
     auto yp = run_engine(TtmEngine::kPacked, x, n, uv);
-    auto yr = run_engine(TtmEngine::kReference, x, n, uv);
+    auto yr = run_engine(TtmEngine::kReference, x, n, uv, ref_level);
     expect_bitwise_equal(yp, yr, "tall mode " + std::to_string(n));
   }
 }
 
 class TtmEquivalence : public ::testing::Test {
  protected:
-  void SetUp() override { width_ = parallel::max_threads(); }
+  void SetUp() override {
+    width_ = parallel::max_threads();
+    level_ = blas::detail::kernel_variant();
+  }
   void TearDown() override {
     parallel::set_max_threads(width_);
     tensor::ttm_engine() = TtmEngine::kPacked;
-    blas::detail::kernel_variant() = TUCKER_SIMD
-                                         ? blas::detail::KernelVariant::kSimd
-                                         : blas::detail::KernelVariant::kScalar;
+    blas::detail::set_kernel_variant(level_);
   }
   int width_ = 0;
+  KernelVariant level_ = KernelVariant::kScalar;
 };
 
 TEST_F(TtmEquivalence, PackedMatchesReferenceAcrossWidths3Order) {
@@ -136,10 +148,12 @@ TEST_F(TtmEquivalence, PackedMatchesReferenceAcrossWidths4Order) {
 }
 
 TEST_F(TtmEquivalence, PackedMatchesReferenceBothKernelVariants) {
-  for (auto variant : {blas::detail::KernelVariant::kSimd,
-                       blas::detail::KernelVariant::kScalar}) {
-    blas::detail::kernel_variant() = variant;
-    sweep_modes<double>({13, 9, 21}, {1, 4, 13}, 0xabcd04);
+  for (KernelVariant level : blas::detail::supported_kernel_variants()) {
+    blas::detail::set_kernel_variant(level);
+    sweep_modes<double>({13, 9, 21}, {1, 4, 13}, 0xabcd04,
+                        KernelVariant::kScalar);
+    sweep_modes<float>({13, 9, 21}, {1, 4, 13}, 0xabcd05,
+                       KernelVariant::kScalar);
   }
 }
 

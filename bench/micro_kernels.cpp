@@ -481,7 +481,6 @@ struct TtmRow {
 
 template <class T>
 void sweep_ttm(std::vector<TtmRow>& rows, const char* prec) {
-  using tucker::tensor::TtmEngine;
   // Large enough that the tensor streams from DRAM (the regime the packed
   // engine targets): 78 MB in double, 39 MB in float.
   const tucker::tensor::Dims dims = {384, 160, 160};
@@ -503,22 +502,23 @@ void sweep_ttm(std::vector<TtmRow>& rows, const char* prec) {
         tucker::parallel::set_max_threads(w);
         // Interleave the engines rep by rep so transient machine noise
         // lands on both sides of the ratio equally, and keep the best rep
-        // of each.
-        auto time_once = [&](TtmEngine e) {
-          tucker::tensor::ttm_engine() = e;
-          const double s = time_best(
+        // of each. The reference rows time the per-block gemm oracle.
+        auto time_once = [&](bool reference) {
+          return time_best(
               [&] {
-                tucker::tensor::ttm_into(x, mode, ut, y);
+                if (reference) {
+                  tucker::tensor::detail::ttm_reference_into(x, mode, ut, y);
+                } else {
+                  tucker::tensor::ttm_into(x, mode, ut, y);
+                }
                 benchmark::DoNotOptimize(y.data());
               },
               1);
-          tucker::tensor::ttm_engine() = TtmEngine::kPacked;
-          return s;
         };
         double ref_s = 1e300, pk_s = 1e300;
         for (int rep = 0; rep < 5; ++rep) {
-          ref_s = std::min(ref_s, time_once(TtmEngine::kReference));
-          pk_s = std::min(pk_s, time_once(TtmEngine::kPacked));
+          ref_s = std::min(ref_s, time_once(true));
+          pk_s = std::min(pk_s, time_once(false));
         }
         const std::string m = std::to_string(mode);
         rows.push_back({"ttm" + m + "_ref", prec, rank, w, ref_s,

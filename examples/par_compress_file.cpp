@@ -13,7 +13,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/tuning.hpp"
 #include "tucker.hpp"
 
 namespace {
@@ -82,15 +81,10 @@ int main(int argc, char** argv) {
           dt, static_cast<std::size_t>(norm_mode),
           tucker::tensor::Normalization::kStandardCentering);
 
-    // TUCKER_OVERLAP=1 switches to the nonblocking driver (bitwise
-    // identical at the default TUCKER_MODE_WINDOW=1; see DESIGN.md Sec 12).
-    tucker::core::OverlapOptions ov;
-    ov.enabled = tucker::tune::overlap_default();
-    ov.mode_window = tucker::tune::mode_window_default();
     auto res = tucker::core::par_sthosvd(
         dt, tucker::core::TruncationSpec::tolerance(tolerance),
         tucker::core::SvdMethod::kQr,
-        tucker::core::backward_order(dims.size()), {}, ov);
+        tucker::core::backward_order(dims.size()));
 
     auto tk = res.gather_to_root();
     if (world.rank() == 0) {

@@ -32,10 +32,28 @@
 #include "blas/microkernel.hpp"
 #include "common/flops.hpp"
 #include "common/thread_pool.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 
 namespace tucker::blas {
+
+namespace detail {
+
+/// gemm j-blocking: width of the C/B column panel kept resident while
+/// streaming A.
+inline constexpr index_t kGemmJB = 512;
+
+/// gemm k-blocking: depth of the packed A/B tiles; bounds the working set
+/// reused across the i loop. 256 doubles x (MR + NR) lanes stays
+/// comfortably inside L1 while amortizing the per-tile C load/store over a
+/// long fused k loop (a 64-deep k loop left ~30% on the table). Part of the
+/// Accum::kWide bits: a wide gemm rounds C to storage once per k block.
+inline constexpr index_t kGemmKB = 256;
+
+/// gemm i-blocking: rows of A packed per block; keeps the packed A panel
+/// (mc x kb) inside L2.
+inline constexpr index_t kGemmMC = 256;
+
+}  // namespace detail
 
 /// C = alpha * A * B + beta * C.
 /// Shapes: A is m x k, B is k x n, C is m x n. Any strides: a C stored
@@ -45,9 +63,9 @@ namespace tucker::blas {
 ///
 /// TA is the register-tile accumulator (Accum::kWide passes wide_t<T>).
 /// Wide accumulation still spills C at storage width once per k block, so
-/// its bits depend on TUCKER_GEMM_KB (one storage rounding per spill, error
-/// ~(k/kb + 1) * eps_s instead of k * eps_s) -- but, like every blocking
-/// knob, never on thread count, ISA level or output partition.
+/// its bits depend on detail::kGemmKB (one storage rounding per spill,
+/// error ~(k/kb + 1) * eps_s instead of k * eps_s) -- but never on thread
+/// count, ISA level or output partition.
 template <class T, class TA = T>
 void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
           MatView<T> c) {
@@ -89,9 +107,9 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
     const index_t ldc = c.row_stride();
     auto run_panel = [&](index_t ilo, index_t ihi, index_t jlo, index_t jhi) {
       if (ihi <= ilo || jhi <= jlo) return;
-      const index_t jb = std::min(tune::gemm_jb(), jhi - jlo);
-      const index_t kb = std::min(tune::gemm_kb(), k);
-      const index_t mc = std::min(tune::gemm_mc(), ihi - ilo);
+      const index_t jb = std::min(detail::kGemmJB, jhi - jlo);
+      const index_t kb = std::min(detail::kGemmKB, k);
+      const index_t mc = std::min(detail::kGemmMC, ihi - ilo);
       Workspace& ws = Workspace::local();
       auto scratch = ws.frame();
       T* bpack = ws.get<T>(
@@ -128,7 +146,7 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
 
     const double work = 2.0 * static_cast<double>(m) * n * k;
     if (parallel::this_thread_width() > 1 &&
-        work >= tune::par_flop_threshold()) {
+        work >= parallel::kMinFanoutFlops) {
       // Split the larger C dimension; columns preferred (each panel packs
       // its own B tiles, so column panels never duplicate packing work).
       if (n >= m || n >= 256) {
@@ -155,7 +173,7 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
     // Wide generic fallback: mimic the tiled path's chain exactly -- per
     // element, widen C, accumulate one k block in TA, round to storage --
     // so exotic layouts produce the same bits as the packed path.
-    const index_t kb = std::min(tune::gemm_kb(), k);
+    const index_t kb = std::min(detail::kGemmKB, k);
     for (index_t i = 0; i < m; ++i)
       for (index_t j = 0; j < n; ++j)
         for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -203,8 +221,8 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
   if (m == 0 || n == 0 || k == 0) return;
 
   const index_t ldc = c.row_stride();
-  const index_t jb = std::min(tune::gemm_jb(), n);
-  const index_t kb = std::min(tune::gemm_kb(), k);
+  const index_t jb = std::min(kGemmJB, n);
+  const index_t kb = std::min(kGemmKB, k);
   Workspace& ws = Workspace::local();
   auto scratch = ws.frame();
   T* bpack =
@@ -235,8 +253,7 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
 
 /// syrk's k-block depth. Each C element loads C, accumulates at most
 /// kSyrkKB columns of one block in the register tile and stores C back, so
-/// under Accum::kWide it takes one storage rounding per sub-chunk. Unlike
-/// gemm_kb this is part of the bits, not a knob.
+/// under Accum::kWide it takes one storage rounding per sub-chunk.
 inline constexpr index_t kSyrkKB = 256;
 
 /// A step fans out into one row band per kSyrkBandFlops of its flops, at

@@ -11,8 +11,8 @@
 //   * accum_for<T> / wide_t<T> -- the wide-accumulator trait behind
 //     Accum::kWide: fp32 storage pairs with fp64 register tiles, fp64
 //     storage is already as wide as we go.
-//   * Accum -- the runtime knob threaded through SthosvdOptions and the
-//     tensor kernels (env TUCKER_ACCUM; see tune::accum_wide_default).
+//   * Accum -- the per-call choice threaded through SthosvdOptions and the
+//     tensor kernels (SthosvdOptions::accum, default kNative).
 
 #include <cstddef>
 #include <limits>

@@ -35,6 +35,12 @@ namespace tucker::parallel {
 
 using index_t = std::ptrdiff_t;
 
+/// Minimum flop count before a kernel fans out to the pool: below it the
+/// per-chunk dispatch overhead beats the parallel win, and the serial path
+/// stays allocation-free. gemm, TTM and the LQ kernels gate on it; syrk
+/// sizes its bands from its own per-band flop figure instead.
+inline constexpr double kMinFanoutFlops = 1e5;
+
 /// Configured pool width (worker threads + the submitting thread). Reads
 /// TUCKER_NUM_THREADS on first use; defaults to hardware_concurrency().
 int max_threads();

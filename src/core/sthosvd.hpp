@@ -194,9 +194,8 @@ struct SthosvdOptions {
   /// Accumulator width for the flop-dominant kernels (Gram/sketch gemms,
   /// truncation TTMs). kWide widens fp32 to fp64 register accumulators at
   /// unchanged storage; for T = double it is the identity. The LQ and the
-  /// small SVD always run at storage precision. Defaults from TUCKER_ACCUM
-  /// (DESIGN.md Sec 13).
-  Accum accum = tune::accum_wide_default() ? Accum::kWide : Accum::kNative;
+  /// small SVD always run at storage precision (DESIGN.md Sec 13).
+  Accum accum = Accum::kNative;
 };
 
 inline std::vector<std::size_t> resolve_order(const tensor::Dims& dims,

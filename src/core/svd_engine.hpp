@@ -16,7 +16,7 @@
 //  - Stream (stream_svd, Iwen-Ong hierarchical SVD): QR-SVD computed per
 //    trailing-mode chunk and merged up a binary tree of tplqt calls; same
 //    flop order and accuracy rung as QR-SVD, but the working set is one
-//    chunk's unfolding (TUCKER_STREAM_CHUNK_MB) -- the in-memory face of
+//    chunk's unfolding (stream::kDefaultChunkBytes) -- the in-memory face of
 //    the out-of-core stream_sthosvd driver (src/stream/).
 //
 // All engines return squared singular values (descending) plus the left
@@ -37,7 +37,6 @@
 #include "lapack/bidiag_svd.hpp"
 #include "lapack/qr.hpp"
 #include "lapack/svd.hpp"
-#include "common/tuning.hpp"
 #include "lapack/tridiag_eig.hpp"
 #include "stream/hier_svd.hpp"
 #include "tensor/gram.hpp"
@@ -137,15 +136,15 @@ ModeSvd<T> qr_svd(const Tensor<T>& y, std::size_t n,
 /// triangle is assembled per trailing-mode chunk and merged up a binary
 /// tree (Iwen-Ong, src/stream/hier_svd.hpp), then the same small SVD as
 /// qr_svd runs on the merged triangle. chunk_slices == 0 sizes chunks from
-/// the TUCKER_STREAM_CHUNK_MB budget. One chunk reduces to qr_svd exactly;
+/// the stream::kDefaultChunkBytes budget. One chunk reduces to qr_svd exactly;
 /// more chunks stay on the eps*||A|| rung with a log-depth constant.
 template <class T>
 ModeSvd<T> stream_svd(const Tensor<T>& y, std::size_t n,
                       index_t chunk_slices = 0,
                       SmallSvdBackend backend = SmallSvdBackend::kAuto) {
   if (chunk_slices <= 0)
-    chunk_slices =
-        stream::chunk_slices_for_budget<T>(y.dims(), tune::stream_chunk_bytes());
+    chunk_slices = stream::chunk_slices_for_budget<T>(
+        y.dims(), stream::kDefaultChunkBytes);
   return svd_of_l(stream::chunked_unfolding_lq(y, n, chunk_slices), backend);
 }
 

@@ -16,7 +16,6 @@
 #include "blas/matview.hpp"
 #include "common/flops.hpp"
 #include "common/thread_pool.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 
 namespace tucker::la {
@@ -84,8 +83,9 @@ void apply_reflector(T tau, MatView<const T> vcol, MatView<T> top,
   // accumulation, and writes are disjoint per column, making the result
   // bitwise independent of the thread count. Reflector applications inside
   // small panels stay below the flop threshold and run serially.
-  const bool par = parallel::this_thread_width() > 1 &&
-                   4.0 * static_cast<double>(m) * n >= tune::par_flop_threshold();
+  const bool par =
+      parallel::this_thread_width() > 1 &&
+      4.0 * static_cast<double>(m) * n >= parallel::kMinFanoutFlops;
 
   if (rest.col_stride() == 1 && m > 0) {
     // Row-contiguous rest: accumulate w = top^T + rest^T v row by row,

@@ -14,7 +14,6 @@
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
 #include "blas/matview.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "lapack/householder.hpp"
 
@@ -96,8 +95,9 @@ void apply_block_qt(MatView<const T> y, MatView<const T> t, MatView<T> c) {
     }
   };
 
-  const bool par = parallel::this_thread_width() > 1 &&
-                   static_cast<double>(k) * k * nc >= tune::par_flop_threshold();
+  const bool par =
+      parallel::this_thread_width() > 1 &&
+      static_cast<double>(k) * k * nc >= parallel::kMinFanoutFlops;
 
   if (par) {
     parallel::parallel_for(0, nc, 32, run_cols);

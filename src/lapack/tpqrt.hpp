@@ -16,7 +16,6 @@
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
 #include "blas/matview.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "lapack/householder.hpp"
 
@@ -119,7 +118,7 @@ void tpqrt(MatView<T> r, MatView<T> b, std::vector<T>& tau,
         }
       };
       if (parallel::this_thread_width() > 1 &&
-          2.0 * static_cast<double>(m) * j >= tune::par_flop_threshold()) {
+          2.0 * static_cast<double>(m) * j >= parallel::kMinFanoutFlops) {
         parallel::parallel_for(0, j, 4, run_dots);
       } else {
         run_dots(0, j);
@@ -156,7 +155,7 @@ void tpqrt(MatView<T> r, MatView<T> b, std::vector<T>& tau,
       }
     };
     if (parallel::this_thread_width() > 1 &&
-        static_cast<double>(jb) * jb * nc >= tune::par_flop_threshold()) {
+        static_cast<double>(jb) * jb * nc >= parallel::kMinFanoutFlops) {
       parallel::parallel_for(0, nc, 32, run_cols);
     } else {
       run_cols(0, nc);

@@ -6,7 +6,7 @@
 // The prices come from the same ledgers the kernels themselves credit --
 // core::modeled_sthosvd_flops for compression and the per-mode TTM-chain
 // formula for reconstruction, with byte traffic from flops::gemm_bytes --
-// so a budget set via TUCKER_SERVE_FLOP_BUDGET speaks the same unit as the
+// so a budget set via ServeOptions::flop_budget speaks the same unit as the
 // flop counters the benches report. mpi::CostModel converts a price into
 // modeled seconds when a wall-clock-flavored figure is wanted.
 //

@@ -8,8 +8,8 @@
 // by shared_ptr-to-const so a worker mid-reconstruction keeps its model
 // alive even if the tenant unregisters it concurrently.
 //
-// Capacity: the cache is LRU-capped at `max_models` entries (default
-// TUCKER_SERVE_CACHE_MODELS; 0 = unbounded, the pre-cap behavior). Both
+// Capacity: the cache is LRU-capped at `max_models` entries (default 0 =
+// unbounded, the pre-cap behavior; ServeOptions::cache_models). Both
 // find() and insert() count as use. Beyond the cap the least-recently-used
 // model is dropped -- its packed panels freed once the last in-flight
 // request releases its shared_ptr -- so a long-lived service with tenant
@@ -24,7 +24,6 @@
 #include <mutex>
 #include <utility>
 
-#include "common/tuning.hpp"
 #include "core/tucker_tensor.hpp"
 #include "serve/admission.hpp"
 
@@ -44,12 +43,8 @@ struct ServedModel {
 template <class T>
 class ModelCache {
  public:
-  /// `max_models` caps the cache (0 = unbounded); defaults to the
-  /// TUCKER_SERVE_CACHE_MODELS knob.
-  explicit ModelCache(
-      std::size_t max_models =
-          static_cast<std::size_t>(tune::serve_cache_models()))
-      : max_models_(max_models) {}
+  /// `max_models` caps the cache (0 = unbounded).
+  explicit ModelCache(std::size_t max_models = 0) : max_models_(max_models) {}
 
   /// Registers a model: stages the factor panels, prices a reconstruction,
   /// returns the id reconstruction requests refer to. Ids are never reused.

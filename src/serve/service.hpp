@@ -53,7 +53,6 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "core/sthosvd.hpp"
 #include "core/svd_engine.hpp"
@@ -66,26 +65,23 @@
 namespace tucker::serve {
 
 struct ServeOptions {
-  /// Worker threads; 0 defers to TUCKER_SERVE_WORKERS, which at its own
-  /// default 0 means one worker per hardware thread.
+  /// Worker threads; 0 = one worker per hardware thread.
   int workers = 0;
-  /// Request-queue depth; 0 defers to TUCKER_SERVE_QUEUE_DEPTH.
-  std::size_t queue_depth = 0;
-  /// Modeled-flop admission budget; negative defers to
-  /// TUCKER_SERVE_FLOP_BUDGET. 0 = unlimited.
-  double flop_budget = -1;
+  /// Request-queue depth: try_submit sheds beyond it.
+  std::size_t queue_depth = 64;
+  /// Modeled-flop admission budget. 0 = unlimited.
+  double flop_budget = 0;
   /// Tests: construct stopped, enqueue a fixed batch, then start() -- a
   /// deterministic interleaving for shed and ordering assertions.
   bool autostart = true;
-  /// Largest fused reconstruction batch; 0 defers to TUCKER_SERVE_BATCH_MAX.
-  /// 1 disables batching (strict-FIFO pop, the pre-batching behavior).
-  std::size_t batch_max = 0;
+  /// Largest fused reconstruction batch. 1 disables batching (strict-FIFO
+  /// pop, the pre-batching behavior).
+  std::size_t batch_max = 8;
   /// Microseconds a worker holding a partial batch lingers for more
-  /// same-key arrivals; negative defers to TUCKER_SERVE_BATCH_WAIT_US.
-  long batch_wait_us = -1;
-  /// Model-cache LRU capacity in models; negative defers to
-  /// TUCKER_SERVE_CACHE_MODELS. 0 = unbounded.
-  long cache_models = -1;
+  /// same-key arrivals. 0 = take only what is already queued.
+  long batch_wait_us = 0;
+  /// Model-cache LRU capacity in models. 0 = unbounded.
+  std::size_t cache_models = 0;
 };
 
 template <class T>
@@ -160,7 +156,7 @@ class Service {
       : opt_(normalize(opt)),
         queue_(opt_.queue_depth),
         admission_(opt_.flop_budget),
-        models_(static_cast<std::size_t>(opt_.cache_models)) {
+        models_(opt_.cache_models) {
     if (opt_.autostart) start();
   }
   ~Service() { stop(); }
@@ -274,20 +270,10 @@ class Service {
   };
 
   static ServeOptions normalize(ServeOptions o) {
-    if (o.workers <= 0) o.workers = static_cast<int>(tune::serve_workers());
     if (o.workers <= 0) {
       const unsigned hw = std::thread::hardware_concurrency();
       o.workers = hw == 0 ? 1 : static_cast<int>(hw);
     }
-    if (o.queue_depth == 0)
-      o.queue_depth = static_cast<std::size_t>(tune::serve_queue_depth());
-    if (o.flop_budget < 0) o.flop_budget = tune::serve_flop_budget();
-    if (o.batch_max == 0)
-      o.batch_max = static_cast<std::size_t>(tune::serve_batch_max());
-    if (o.batch_wait_us < 0)
-      o.batch_wait_us = static_cast<long>(tune::serve_batch_wait_us());
-    if (o.cache_models < 0)
-      o.cache_models = static_cast<long>(tune::serve_cache_models());
     return o;
   }
 

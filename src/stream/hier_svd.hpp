@@ -35,7 +35,6 @@
 #include "blas/blas1.hpp"
 #include "blas/matrix.hpp"
 #include "common/check.hpp"
-#include "common/tuning.hpp"
 #include "lapack/qr.hpp"
 #include "lapack/tpqrt.hpp"
 #include "tensor/tensor.hpp"
@@ -165,6 +164,13 @@ class TsqrAccumulator {
  private:
   Matrix<T> r_;
 };
+
+/// Default slab byte budget, 256 MiB: the slab size of stream_sthosvd
+/// (StreamOptions::chunk_bytes) and the chunk size of the in-memory
+/// kStream engine. Unlike a cache block it moves results (the merge-tree
+/// cut points), but only within the QR-SVD accuracy rung (DESIGN.md
+/// Sec 11).
+inline constexpr std::size_t kDefaultChunkBytes = std::size_t{256} << 20;
 
 /// Trailing-mode slices per chunk for a resident tensor under a byte
 /// budget: how many last-mode slices fit in `budget_bytes` (at least 1).

@@ -53,7 +53,6 @@
 
 #include <unistd.h>
 
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "core/sthosvd.hpp"
 #include "io/chunked_tensor_io.hpp"
@@ -66,8 +65,9 @@ namespace tucker::stream {
 
 /// Knobs of the out-of-core drivers.
 struct StreamOptions {
-  /// Slab byte budget; 0 reads TUCKER_STREAM_CHUNK_MB.
-  std::size_t chunk_bytes = 0;
+  /// Slab byte budget: one slab's payload fits it (kDefaultChunkBytes,
+  /// 256 MiB).
+  std::size_t chunk_bytes = kDefaultChunkBytes;
   /// Directory for truncation-pass spill files; "" = $TMPDIR or /tmp.
   /// Spill files are removed as soon as the next pass supersedes them
   /// (and on scope exit either way).
@@ -264,8 +264,7 @@ StreamSthosvdResult<T> stream_sthosvd(
   TUCKER_CHECK(nmodes >= 2, "stream_sthosvd: need at least two modes");
   core::check_spec_and_order(spec, core::forward_order(nmodes), nmodes);
   const std::size_t t = nmodes - 1;
-  const std::size_t budget =
-      opt.chunk_bytes != 0 ? opt.chunk_bytes : tune::stream_chunk_bytes();
+  const std::size_t budget = opt.chunk_bytes;
 
   StreamSthosvdResult<T> out;
   out.slab_bytes = budget;

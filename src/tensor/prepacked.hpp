@@ -7,10 +7,11 @@
 // stages each factor into the micro-kernel A-panel layout on every call
 // (pack_a inside ttm_packed_into); for a served model that staging is pure
 // rework -- the factors never change between requests. A PrepackedFactor
-// performs the staging exactly once, and ttm_prepacked_into feeds the
+// performs the staging exactly once, and ttm_packed_multi_into feeds the
 // cached panel to the same block sweep the packed engine runs
-// (detail::ttm_tall_from_panel), so the fast path is bitwise identical to
-// ttm_into at every thread width -- it only skips the per-call pack.
+// (detail::ttm_tall_from_panel_multi), so the fast path is bitwise
+// identical to ttm_into at every thread width -- it only skips the
+// per-call pack.
 //
 // Shapes the panel cannot serve fall back to ttm_into on the plain copy:
 // mode 0 (column-major unfolding; tall factors take the transposed-gemm
@@ -19,6 +20,8 @@
 // Reconstruction factors are tall (I_n >= R_n), so for any model worth
 // serving every mode n >= 1 hits the cached panel.
 
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -69,55 +72,28 @@ class PrepackedFactor {
   std::vector<T> panel_;
 };
 
-/// Y = X x_n U from a factor staged in a PrepackedFactor. Bitwise
-/// identical to ttm_into(x, n, pf.plain(), y, accum) under either engine
-/// and at every thread width; when the packed engine is active and the
-/// cached panel applies (mode n >= 1, tall factor) the per-call pack_a is
-/// skipped -- the entire point of the cache.
-template <class T>
-void ttm_prepacked_into(const Tensor<T>& x, std::size_t n,
-                        const PrepackedFactor<T>& pf, Tensor<T>& y,
-                        Accum accum = Accum::kNative) {
-  TUCKER_CHECK(pf.staged(), "ttm_prepacked_into: factor not staged");
-  if (n == 0 || pf.panel() == nullptr || ttm_engine() != TtmEngine::kPacked) {
-    ttm_into(x, n, pf.plain(), y, accum);
-    return;
-  }
-  TUCKER_CHECK(n < x.order(), "ttm: mode out of range");
-  TUCKER_CHECK(pf.cols() == x.dim(n), "ttm: inner dimension mismatch");
-  TUCKER_CHECK(&x != &y, "ttm_prepacked_into: x and y must be distinct");
-  y.reshape_mode_of(x, n, pf.rows());
-  if (y.size() == 0 || x.size() == 0) return;
-  if (accum == Accum::kWide) {
-    detail::ttm_tall_from_panel<T, wide_t<T>>(x, n, pf.panel(), pf.rows(),
-                                              pf.cols(), y);
-  } else {
-    detail::ttm_tall_from_panel<T, T>(x, n, pf.panel(), pf.rows(), pf.cols(),
-                                      y);
-  }
-}
-
 /// Batched Y_i = X_i x_n U for a whole group of right-hand sides against
 /// one staged factor: the multi-RHS kernel of the batched serving path.
 /// The X_i may differ in every dimension except mode n (region chains
 /// fused with full chains); each Y_i is reshaped in place like ttm_into.
-/// Bitwise identical, per item, to ttm_prepacked_into(*xs[i], n, pf,
-/// *ys[i], accum) at every thread width and for every batch composition --
-/// the fused sweep only re-partitions work units, never per-element
+/// Bitwise identical, per item, to ttm_into(*xs[i], n, pf.plain(), *ys[i],
+/// accum) at every thread width and for every batch composition -- the
+/// fused sweep only re-partitions work units, never per-element
 /// accumulation chains. Shapes the cached panel cannot serve (mode 0, no
-/// panel, reference engine) fall back to the per-item call.
+/// panel) fall back to ttm_into per item. A span of one item allocates
+/// nothing beyond what ttm_into would.
 template <class T>
-void ttm_packed_multi_into(const std::vector<const Tensor<T>*>& xs,
-                           std::size_t n, const PrepackedFactor<T>& pf,
-                           const std::vector<Tensor<T>*>& ys,
-                           Accum accum = Accum::kNative) {
+void ttm_packed_multi_into(
+    std::type_identity_t<std::span<const Tensor<T>* const>> xs, std::size_t n,
+    const PrepackedFactor<T>& pf,
+    std::type_identity_t<std::span<Tensor<T>* const>> ys,
+    Accum accum = Accum::kNative) {
   TUCKER_CHECK(pf.staged(), "ttm_packed_multi_into: factor not staged");
   TUCKER_CHECK(xs.size() == ys.size(),
                "ttm_packed_multi_into: xs/ys size mismatch");
-  if (xs.empty()) return;
-  if (n == 0 || pf.panel() == nullptr || ttm_engine() != TtmEngine::kPacked) {
+  if (n == 0 || pf.panel() == nullptr) {
     for (std::size_t i = 0; i < xs.size(); ++i)
-      ttm_prepacked_into(*xs[i], n, pf, *ys[i], accum);
+      ttm_into(*xs[i], n, pf.plain(), *ys[i], accum);
     return;
   }
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -134,6 +110,20 @@ void ttm_packed_multi_into(const std::vector<const Tensor<T>*>& xs,
     detail::ttm_tall_from_panel_multi<T, T>(xs, n, pf.panel(), pf.rows(),
                                             pf.cols(), ys);
   }
+}
+
+/// Y = X x_n U from a factor staged in a PrepackedFactor: the one-item
+/// ttm_packed_multi_into. Bitwise identical to ttm_into(x, n, pf.plain(),
+/// y, accum) at every thread width; when the cached panel applies (mode
+/// n >= 1, tall factor) the per-call pack_a is skipped -- the entire point
+/// of the cache.
+template <class T>
+void ttm_prepacked_into(const Tensor<T>& x, std::size_t n,
+                        const PrepackedFactor<T>& pf, Tensor<T>& y,
+                        Accum accum = Accum::kNative) {
+  const Tensor<T>* xp = &x;
+  Tensor<T>* yp = &y;
+  ttm_packed_multi_into<T>({&xp, 1}, n, pf, {&yp, 1}, accum);
 }
 
 }  // namespace tucker::tensor

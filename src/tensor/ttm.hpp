@@ -2,76 +2,60 @@
 // Tensor-times-matrix (TTM): Y = X x_n U, defined by Y_(n) = U * X_(n).
 //
 // This is the truncation kernel of ST-HOSVD (line 7 of Alg 1, applied with
-// U_n^T) and the reconstruction kernel of a Tucker tensor. Two engines
-// compute it, selectable at runtime like the micro-kernel variant switch:
+// U_n^T) and the reconstruction kernel of a Tucker tensor. ttm_into runs
+// the packed engine: it stages the factor matrix contiguously in the
+// Workspace arena exactly once and reuses it across every unfolding block.
+// Short-fat factors (R <= kTtmAxpyMaxR, the truncation case) run the
+// packing-free ttm_cols/ttm_rows/mode-0 kernels of microkernel.hpp, which
+// stream X once instead of copying it into B panels; taller factors run
+// gemm_prepacked_a, which skips only the per-block re-pack of U. Threading
+// picks block-level fanout when there are enough unfolding blocks and
+// splits unfolding columns otherwise, gated by the same flop threshold as
+// gemm (parallel::kMinFanoutFlops).
 //
-//  - kPacked (default): stages the factor matrix contiguously in the
-//    Workspace arena exactly once and reuses it across every unfolding
-//    block. Short-fat factors (R <= kTtmAxpyMaxR, the truncation case) run
-//    the packing-free ttm_cols/mode-0 kernels of microkernel.hpp, which stream
-//    X once instead of copying it into B panels; taller factors run
-//    gemm_prepacked_a, which skips only the per-block re-pack of U.
-//    Threading picks block-level fanout when there are enough unfolding
-//    blocks and splits unfolding columns otherwise, gated by the same flop
-//    threshold as gemm.
-//  - kReference: one gemm per unfolding block and a transposed gemm for the
-//    column-major mode-0 unfolding -- the same design as TuckerMPI's TTM
-//    kernel [6, Alg 3], kept as the oracle the equivalence tests compare
-//    against.
+// detail::ttm_reference_into is one gemm per unfolding block and a
+// transposed gemm for the column-major mode-0 unfolding -- the same design
+// as TuckerMPI's TTM kernel [6, Alg 3]. The packed engine runs it for tall
+// mode-0 factors; the equivalence tests and bench/micro_kernels call it
+// directly as the oracle.
 //
-// The engines are bitwise identical: every Y element starts from zero and
+// The two are bitwise identical: every Y element starts from zero and
 // accumulates one `y += u * x` per k step in ascending k order in both, so
-// engine choice, blocking, thread count and ISA level never change the
+// the kernel choice, blocking, thread count and ISA level never change the
 // bits (see DESIGN.md Sec 10).
 //
 // Wide accumulation (Accum::kWide on ttm_into): the packed engine's
 // kernels accumulate each output element in a single full-k wide_t<T>
 // chain (register accumulators for mode 0 / register tiles, or a per-chunk
 // TA slab for the streaming walk) and round to storage exactly once; the
-// reference engine inherits gemm's per-k-block spill. The two wide engines
-// therefore agree bitwise whenever the contracted dimension fits one gemm
-// k block (k <= TUCKER_GEMM_KB) -- the truncation TTMs the drivers issue --
-// and differ only in spill roundings beyond that. Each engine individually
+// reference path inherits gemm's per-k-block spill. The two therefore
+// agree bitwise whenever the contracted dimension fits one gemm k block
+// (k <= blas::detail::kGemmKB) -- the truncation TTMs the drivers issue --
+// and differ only in spill roundings beyond that. Each individually
 // remains bitwise thread/level/partition-invariant at any k.
 
-#include <cstdlib>
-#include <string_view>
+#include <span>
 #include <type_traits>
-#include <vector>
 
 #include "blas/gemm.hpp"
 #include "common/precision.hpp"
 #include "common/thread_pool.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tucker::tensor {
 
-enum class TtmEngine { kPacked, kReference };
-
-/// Active TTM engine. Defaults to packed; TUCKER_TTM_ENGINE=reference
-/// restores the per-block gemm path. Tests and benches flip it at runtime
-/// to compare the two within one binary (not meant to be flipped while TTM
-/// calls are in flight).
-inline TtmEngine& ttm_engine() {
-  static TtmEngine e = [] {
-    if (const char* s = std::getenv("TUCKER_TTM_ENGINE"))
-      if (std::string_view(s) == "reference") return TtmEngine::kReference;
-    return TtmEngine::kPacked;
-  }();
-  return e;
-}
-
 namespace detail {
 
 using blas::detail::kTtmAxpyMaxR;
 
-/// Reference engine: one gemm per unfolding block (U re-packed per block by
-/// gemm), transposed gemm for mode 0.
+/// Reference TTM, the oracle: one gemm per unfolding block (U re-packed per
+/// block by gemm), transposed gemm for mode 0. y is reshaped in place like
+/// ttm_into's; x and y must not alias.
 template <class T, class TA = T>
 void ttm_reference_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
                         Tensor<T>& y) {
+  y.reshape_mode_of(x, n, u.rows());
   if (n == 0) {
     // Column-major unfolding: compute Y_(0)^T = X_(0)^T * U^T so both gemm
     // operands stream contiguously (row-major views of the same buffers).
@@ -144,64 +128,29 @@ index_t ttm_row_chunk(index_t r) {
 }
 
 /// Tall-factor block sweep shared by the packed engine and the prepacked
-/// reconstruction fast path (tensor/prepacked.hpp): gemm_prepacked_a over
-/// every mode-n (n >= 1) unfolding block from an already-staged A panel
-/// (r x k in micro-kernel layout, as built by pack_a over the full range).
-/// The fanout shape and every per-element chain are identical whether the
-/// panel was packed just now (ttm_packed_into) or cached across calls
-/// (serve's per-model factor cache), so both entry points produce the same
-/// bits at every thread width.
-template <class T, class TA = T>
-void ttm_tall_from_panel(const Tensor<T>& x, std::size_t n, const T* apack,
-                         index_t r, index_t k, Tensor<T>& y) {
-  const index_t before = prod_before(x.dims(), n);
-  const index_t nblocks = unfolding_num_blocks(x, n);
-  const index_t width = parallel::this_thread_width();
-  const double work =
-      2.0 * r * k * static_cast<double>(before) * static_cast<double>(nblocks);
-  const bool fan_out = width > 1 && work >= tune::par_flop_threshold();
-  auto run_block_cols = [&](index_t blk, index_t j0, index_t j1) {
-    auto xb = unfolding_block(x, n, blk);
-    auto yb = unfolding_block(y, n, blk);
-    blas::detail::gemm_prepacked_a<T, TA>(
-        apack, r, k, MatView<const T>(xb.block(0, j0, k, j1 - j0)),
-        yb.block(0, j0, r, j1 - j0));
-  };
-  if (fan_out && nblocks >= 2 * width) {
-    parallel::parallel_for(0, nblocks, 1, [&](index_t lo, index_t hi) {
-      for (index_t b = lo; b < hi; ++b) run_block_cols(b, 0, before);
-    });
-  } else if (fan_out) {
-    for (index_t b = 0; b < nblocks; ++b) {
-      parallel::parallel_for(0, before, 64, [&](index_t j0, index_t j1) {
-        run_block_cols(b, j0, j1);
-      });
-    }
-  } else {
-    for (index_t b = 0; b < nblocks; ++b) run_block_cols(b, 0, before);
-  }
-}
-
-/// Multi-RHS variant of the tall-factor block sweep: one staged A panel
-/// applied to a whole batch of right-hand-side tensors in a single sweep.
-/// This is the batched-serving kernel -- the panel is loaded into cache
-/// once per (unit, k-block) instead of once per request, which is the
-/// entire perf win of request fusion (DESIGN.md Sec 15).
+/// reconstruction paths (tensor/prepacked.hpp): one staged A panel (r x k
+/// in micro-kernel layout, as built by pack_a over the full k range)
+/// applied by gemm_prepacked_a to every mode-n (n >= 1) unfolding block of
+/// a batch of right-hand-side tensors. A batch of one is the packed
+/// engine's own sweep; a larger batch is the kernel of fused serving
+/// (DESIGN.md Sec 15), which loads the panel into cache once per (unit,
+/// k-block) instead of once per request.
 ///
 /// The work units are the (item, unfolding-block) pairs flattened across
 /// the batch; items may have different shapes below mode n (region chains
 /// mixed with full chains), they only share r and k at mode n. Each unit
-/// runs the *same* gemm_prepacked_a call, over the same operand views, as
-/// its item's solo ttm_tall_from_panel sweep would -- fanout here only
-/// re-partitions units/columns across threads, and gemm_prepacked_a is
-/// bitwise partition-invariant, so every item's output is bit-identical to
-/// its unbatched result regardless of batch composition. Unit lookup is an
-/// O(batch) scan on purpose: no arena scratch, so a fused job leaves the
-/// same Workspace watermark as the solo requests it replaces.
+/// runs the *same* gemm_prepacked_a call, over the same operand views,
+/// whatever the batch -- fanout only re-partitions units/columns across
+/// threads, and gemm_prepacked_a is bitwise partition-invariant, so every
+/// item's output is bit-identical to its batch-of-one result, whether the
+/// panel was packed just now (ttm_packed_into) or cached across calls
+/// (serve's per-model factor cache). Unit lookup is an O(batch) scan on
+/// purpose: no arena scratch, so a fused job leaves the same Workspace
+/// watermark as the solo requests it replaces.
 template <class T, class TA = T>
-void ttm_tall_from_panel_multi(const std::vector<const Tensor<T>*>& xs,
+void ttm_tall_from_panel_multi(std::span<const Tensor<T>* const> xs,
                                std::size_t n, const T* apack, index_t r,
-                               index_t k, const std::vector<Tensor<T>*>& ys) {
+                               index_t k, std::span<Tensor<T>* const> ys) {
   const std::size_t m = xs.size();
   const index_t width = parallel::this_thread_width();
   index_t total_units = 0;
@@ -232,7 +181,7 @@ void ttm_tall_from_panel_multi(const std::vector<const Tensor<T>*>& xs,
       off -= nb;
     }
   };
-  const bool fan_out = width > 1 && work >= tune::par_flop_threshold();
+  const bool fan_out = width > 1 && work >= parallel::kMinFanoutFlops;
   if (fan_out && total_units >= 2 * width) {
     parallel::parallel_for(0, total_units, 1, [&](index_t lo, index_t hi) {
       for (index_t u = lo; u < hi; ++u) {
@@ -306,7 +255,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
     auto run_cols = [&](index_t c0, index_t c1) {
       mk.ttm_mode0(k, r, ut, ldut, x.data(), y.data(), c0, c1);
     };
-    if (width > 1 && work >= tune::par_flop_threshold()) {
+    if (width > 1 && work >= parallel::kMinFanoutFlops) {
       parallel::parallel_for(0, cols, 64, run_cols);
     } else {
       run_cols(0, cols);
@@ -318,7 +267,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   const index_t nblocks = unfolding_num_blocks(x, n);
   const double work =
       2.0 * r * k * static_cast<double>(before) * static_cast<double>(nblocks);
-  const bool fan_out = width > 1 && work >= tune::par_flop_threshold();
+  const bool fan_out = width > 1 && work >= parallel::kMinFanoutFlops;
 
   if (r <= kTtmAxpyMaxR) {
     // Short-fat factor (the ST-HOSVD truncation case): stage U contiguously
@@ -370,8 +319,14 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
         for (index_t b = lo; b < hi; ++b) run_block_cols(b, 0, before);
       });
     } else if (fan_out) {
+      // Few blocks: split each block's columns. The streaming walk splits
+      // at its own chunk, so each task keeps the >= 512-column row bursts
+      // ttm_row_chunk sizes it for; a 64-column task would read its k rows
+      // in 64-element pieces. The register-tile walk's blocks are cache
+      // resident, where one chunk could cover a whole block.
+      const index_t grain = stream ? chunk : 64;
       for (index_t b = 0; b < nblocks; ++b) {
-        parallel::parallel_for(0, before, 64, [&](index_t j0, index_t j1) {
+        parallel::parallel_for(0, before, grain, [&](index_t j0, index_t j1) {
           run_block_cols(b, j0, j1);
         });
       }
@@ -387,7 +342,9 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   T* apack =
       ws.get<T>(static_cast<std::size_t>(blas::detail::prepacked_a_elems(r, k)));
   blas::detail::pack_a(u, 0, r, 0, k, T(1), apack);
-  ttm_tall_from_panel<T, TA>(x, n, apack, r, k, y);
+  const Tensor<T>* xp = &x;
+  Tensor<T>* yp = &y;
+  ttm_tall_from_panel_multi<T, TA>({&xp, 1}, n, apack, r, k, {&yp, 1});
 }
 
 }  // namespace detail
@@ -404,20 +361,10 @@ void ttm_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   y.reshape_mode_of(x, n, u.rows());
   if (y.size() == 0 || x.size() == 0) return;
 
-  auto run = [&]<class TA>(std::type_identity<TA>) {
-    switch (ttm_engine()) {
-      case TtmEngine::kPacked:
-        detail::ttm_packed_into<T, TA>(x, n, u, y);
-        break;
-      case TtmEngine::kReference:
-        detail::ttm_reference_into<T, TA>(x, n, u, y);
-        break;
-    }
-  };
   if (accum == Accum::kWide) {
-    run(std::type_identity<wide_t<T>>{});
+    detail::ttm_packed_into<T, wide_t<T>>(x, n, u, y);
   } else {
-    run(std::type_identity<T>{});
+    detail::ttm_packed_into<T, T>(x, n, u, y);
   }
 }
 

@@ -53,11 +53,6 @@ struct VariantGuard {
   ~VariantGuard() { blas::detail::set_kernel_variant(prev); }
 };
 
-struct EngineGuard {
-  tensor::TtmEngine prev = tensor::ttm_engine();
-  ~EngineGuard() { tensor::ttm_engine() = prev; }
-};
-
 TEST(WideAccumTest, TraitsReportStorageWidth) {
   // Word traffic is priced at storage width; only the register tile widens.
   EXPECT_EQ(precision<float>::bytes_per_word, 4u);
@@ -106,7 +101,7 @@ TEST(WideAccumTest, GemmErrorBelowPlainSingle) {
           err_wide,
           std::abs(static_cast<double>(c_wide(i, j)) - truth(i, j)));
     }
-  // Wide spills once per k block (k / TUCKER_GEMM_KB + 1 roundings) versus
+  // Wide spills once per k block (k / kGemmKB + 1 roundings) versus
   // the native chain's O(sqrt(k)) accumulated rounding: strictly better at
   // this depth, and within a small constant of one storage rounding.
   EXPECT_LT(err_wide, err_native);
@@ -202,11 +197,10 @@ TEST(WideAccumTest, GemmSyrkBitwiseAcrossThreadsAndVariants) {
 
 TEST(WideAccumTest, TtmEnginesAgreeBitwiseWithinOneKBlock) {
   // The packed engine's wide path accumulates full-k chains; the reference
-  // engine spills per gemm k block. For k <= TUCKER_GEMM_KB both perform
-  // exactly one storage rounding per element, so they agree bitwise -- on
-  // every mode, at every thread width.
+  // path spills per gemm k block. For k <= kGemmKB both perform exactly
+  // one storage rounding per element, so they agree bitwise -- on every
+  // mode, at every thread width.
   ThreadsGuard tg;
-  EngineGuard eg;
   tensor::Tensor<float> x({24, 18, 20});
   Rng rng(25);
   for (index_t i = 0; i < x.size(); ++i)
@@ -220,19 +214,22 @@ TEST(WideAccumTest, TtmEnginesAgreeBitwiseWithinOneKBlock) {
         u(i, j) = static_cast<float>(urng.normal<double>());
 
     tensor::Tensor<float> ref;
-    for (auto engine :
-         {tensor::TtmEngine::kPacked, tensor::TtmEngine::kReference}) {
+    for (bool reference : {false, true}) {
       for (int threads : {1, 2, 7}) {
         parallel::set_max_threads(threads);
-        tensor::ttm_engine() = engine;
         tensor::Tensor<float> y;
-        tensor::ttm_into(x, mode, u.cview(), y, Accum::kWide);
+        if (reference) {
+          tensor::detail::ttm_reference_into<float, double>(x, mode, u.cview(),
+                                                            y);
+        } else {
+          tensor::ttm_into(x, mode, u.cview(), y, Accum::kWide);
+        }
         if (ref.size() == 0) {
           ref = std::move(y);
           continue;
         }
         EXPECT_TRUE(bitwise_equal(y, ref))
-            << "engine=" << static_cast<int>(engine) << " mode=" << mode
+            << "reference=" << reference << " mode=" << mode
             << " threads=" << threads;
       }
     }

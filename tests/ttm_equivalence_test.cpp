@@ -1,11 +1,14 @@
 // Bitwise contracts of the packed TTM engine and the cost-model mode order:
-//  - packed and reference engines produce bitwise-identical results across
-//    thread widths {1, 2, 7}, every mode of 3- and 4-order tensors with
-//    odd/prime dims, rank-1 factors, short-fat (axpy/mode-0 kernel) and
-//    tall (prepacked-gemm kernel) factors; and the packed engine at every
-//    ISA level the host runs equals the reference engine on the scalar
-//    oracle;
-//  - both engines record identical flop totals;
+//  - ttm_into (the packed engine) and the per-block gemm oracle
+//    (tensor::detail::ttm_reference_into) produce bitwise-identical results
+//    across thread widths {1, 2, 7}, every mode of 3- and 4-order tensors
+//    with odd/prime dims, rank-1 factors, short-fat (axpy/mode-0 kernel)
+//    and tall (prepacked-gemm kernel) factors; and the packed engine at
+//    every ISA level the host runs equals the oracle on the scalar level;
+//  - blocks over 256 KiB, which take the streaming ttm_rows walk and split
+//    their columns at the walk's chunk, match the oracle at every width
+//    and level in fp32 and fp64;
+//  - both paths record identical flop totals;
 //  - the reference mode-0 staging of a fully strided factor view changes
 //    no bits;
 //  - greedy_order returns a permutation, is forward on isotropic cubes,
@@ -34,7 +37,6 @@ using blas::index_t;
 using blas::detail::KernelVariant;
 using tensor::Dims;
 using tensor::Tensor;
-using tensor::TtmEngine;
 
 /// Exactly-low-rank tensor: a random core expanded by random tall factors,
 /// so multilinear rank is bounded by `ranks` and a fixed-rank ST-HOSVD at
@@ -54,18 +56,23 @@ Tensor<double> low_rank_tensor(const Dims& dims,
   return y;
 }
 
-/// Runs ttm with the requested engine on the requested micro-kernel level
-/// (by default the active one), leaving the previous ones in place.
+/// The two TTM paths under comparison: ttm_into and the gemm oracle.
+enum class Engine { kPacked, kReference };
+
+/// Runs one TTM path on the requested micro-kernel level (by default the
+/// active one), leaving the previous level in place.
 template <class T>
-Tensor<T> run_engine(TtmEngine e, const Tensor<T>& x, std::size_t n,
+Tensor<T> run_engine(Engine e, const Tensor<T>& x, std::size_t n,
                      blas::MatView<const T> u,
                      KernelVariant level = blas::detail::kernel_variant()) {
-  const TtmEngine prev = tensor::ttm_engine();
   const KernelVariant prev_level = blas::detail::kernel_variant();
-  tensor::ttm_engine() = e;
   blas::detail::set_kernel_variant(level);
-  Tensor<T> y = tensor::ttm(x, n, u);
-  tensor::ttm_engine() = prev;
+  Tensor<T> y;
+  if (e == Engine::kPacked) {
+    tensor::ttm_into(x, n, u, y);
+  } else {
+    tensor::detail::ttm_reference_into(x, n, u, y);
+  }
   blas::detail::set_kernel_variant(prev_level);
   return y;
 }
@@ -97,8 +104,8 @@ void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
       for (index_t i = 0; i < f.rows(); ++i)
         for (index_t j = 0; j < f.cols(); ++j) f(i, j) = rng.normal<T>();
       auto ut = blas::MatView<const T>(f.view().t());
-      auto yp = run_engine(TtmEngine::kPacked, x, n, ut);
-      auto yr = run_engine(TtmEngine::kReference, x, n, ut, ref_level);
+      auto yp = run_engine(Engine::kPacked, x, n, ut);
+      auto yr = run_engine(Engine::kReference, x, n, ut, ref_level);
       expect_bitwise_equal(yp, yr,
                            "truncate mode " + std::to_string(n) + " rank " +
                                std::to_string(r));
@@ -111,8 +118,8 @@ void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
     for (index_t i = 0; i < u.rows(); ++i)
       for (index_t j = 0; j < u.cols(); ++j) u(i, j) = rng.normal<T>();
     auto uv = blas::MatView<const T>(u.view());
-    auto yp = run_engine(TtmEngine::kPacked, x, n, uv);
-    auto yr = run_engine(TtmEngine::kReference, x, n, uv, ref_level);
+    auto yp = run_engine(Engine::kPacked, x, n, uv);
+    auto yr = run_engine(Engine::kReference, x, n, uv, ref_level);
     expect_bitwise_equal(yp, yr, "tall mode " + std::to_string(n));
   }
 }
@@ -125,7 +132,6 @@ class TtmEquivalence : public ::testing::Test {
   }
   void TearDown() override {
     parallel::set_max_threads(width_);
-    tensor::ttm_engine() = TtmEngine::kPacked;
     blas::detail::set_kernel_variant(level_);
   }
   int width_ = 0;
@@ -157,6 +163,29 @@ TEST_F(TtmEquivalence, PackedMatchesReferenceBothKernelVariants) {
   }
 }
 
+TEST_F(TtmEquivalence, StreamingWalkMatchesReferenceAcrossWidthsAndLevels) {
+  // DRAM-resident blocks (k x before over 256 KiB) take the streaming
+  // ttm_rows walk, and with fewer than 2 x width of them the walk splits
+  // each block's columns at its chunk. {96, 48, 24}: mode 2 is one 864 KiB
+  // block in fp64; {64, 40, 36, 3}: mode 2 is three 720 KiB blocks and
+  // mode 3 one 2.2 MiB block. fp32 halves them, still over the line.
+  const std::vector<index_t> ranks = {1, 8, 33};
+  for (int width : {1, 2, 7}) {
+    parallel::set_max_threads(width);
+    for (KernelVariant level : blas::detail::supported_kernel_variants()) {
+      blas::detail::set_kernel_variant(level);
+      sweep_modes<double>({96, 48, 24}, ranks, 0xabcd06,
+                          KernelVariant::kScalar);
+      sweep_modes<float>({96, 48, 24}, ranks, 0xabcd07,
+                         KernelVariant::kScalar);
+      sweep_modes<double>({64, 40, 36, 3}, ranks, 0xabcd08,
+                          KernelVariant::kScalar);
+      sweep_modes<float>({64, 40, 36, 3}, ranks, 0xabcd09,
+                         KernelVariant::kScalar);
+    }
+  }
+}
+
 TEST_F(TtmEquivalence, EnginesRecordIdenticalFlopTotals) {
   auto x = data::random_tensor<double>({19, 17, 13}, 77);
   blas::Matrix<double> f(17, 6);
@@ -165,10 +194,10 @@ TEST_F(TtmEquivalence, EnginesRecordIdenticalFlopTotals) {
     for (index_t j = 0; j < f.cols(); ++j) f(i, j) = rng.normal<double>();
   auto ut = blas::MatView<const double>(f.view().t());
   reset_thread_flops();
-  (void)run_engine(TtmEngine::kPacked, x, 1, ut);
+  (void)run_engine(Engine::kPacked, x, 1, ut);
   const auto packed_flops = thread_flops();
   reset_thread_flops();
-  (void)run_engine(TtmEngine::kReference, x, 1, ut);
+  (void)run_engine(Engine::kReference, x, 1, ut);
   EXPECT_EQ(packed_flops, thread_flops());
 }
 
@@ -188,11 +217,11 @@ TEST_F(TtmEquivalence, ReferenceMode0StagesFullyStridedFactor) {
   blas::Matrix<double> dense(9, 23);
   for (index_t i = 0; i < 9; ++i)
     for (index_t j = 0; j < 23; ++j) dense(i, j) = strided(i, j);
-  auto ys = run_engine(TtmEngine::kReference, x, 0, strided);
-  auto yd = run_engine(TtmEngine::kReference, x, 0,
+  auto ys = run_engine(Engine::kReference, x, 0, strided);
+  auto yd = run_engine(Engine::kReference, x, 0,
                        blas::MatView<const double>(dense.view()));
   expect_bitwise_equal(ys, yd, "strided mode-0 factor staging");
-  auto yp = run_engine(TtmEngine::kPacked, x, 0, strided);
+  auto yp = run_engine(Engine::kPacked, x, 0, strided);
   expect_bitwise_equal(yp, yd, "packed with strided mode-0 factor");
 }
 

@@ -1,12 +1,11 @@
-// Mixed-precision sweep: one row per (kernel, storage/accumulator config,
-// thread width) over the compute kernels the accumulator knob touches --
-// gemm and syrk (the Gram kernel) -- plus the classic one-sided Jacobi SVD
-// as a serial reference for the small-SVD step.
+// Precision sweep: one row per (kernel, storage precision, thread width)
+// over the flop-dominant compute kernels -- gemm and syrk (the Gram
+// kernel, also on its short-fat streaming shape) -- plus the classic
+// one-sided Jacobi SVD as a serial reference for the small-SVD step.
 //
-// The acceptance number this binary exists to track: wide accumulation
-// (fp32 storage, fp64 register tiles) must stay within ~1.15x of
-// plain-single gemm/syrk time (the `rel` column on single_wide rows is
-// wide seconds / plain-single seconds).
+// It tracks the paper's single-against-double claim: the `rel` column is
+// a row's seconds / the single-precision seconds at the same width, so a
+// double row's rel is the speedup single precision buys on that kernel.
 //
 // --precision-json[=PATH] writes the sweep to BENCH_precision.json;
 // --compare[=PATH] re-runs it and diffs per-row GFLOPS against the
@@ -57,8 +56,7 @@ double time_best(F&& fn, int reps) {
 
 struct Row {
   std::string kernel;
-  /// "double" / "single" / "single_wide" -- storage plus accumulator
-  /// choice.
+  /// "double" / "single": the storage (and accumulation) precision.
   const char* config;
   int word_bytes;  ///< storage word the kernel loads/stores
   int threads;
@@ -104,19 +102,10 @@ void sweep_gemm_syrk(std::vector<Row>& rows) {
                              cf.view());
         },
         3);
-    const double g_w = time_best(
-        [&] {
-          tucker::blas::gemm<float, double>(
-              1.0f, MatView<const float>(af.view()),
-              MatView<const float>(bf.view()), 0.0f, cf.view());
-        },
-        3);
     rows.push_back({"gemm", "double", 8, w, g_d, gemm_flops / g_d * 1e-9,
                     g_d / g_s});
     rows.push_back(
         {"gemm", "single", 4, w, g_s, gemm_flops / g_s * 1e-9, 1.0});
-    rows.push_back({"gemm", "single_wide", 4, w, g_w,
-                    gemm_flops / g_w * 1e-9, g_w / g_s});
 
     const double s_d = time_best(
         [&] {
@@ -130,28 +119,20 @@ void sweep_gemm_syrk(std::vector<Row>& rows) {
                              gf.view());
         },
         3);
-    const double s_w = time_best(
-        [&] {
-          tucker::blas::syrk<float, double>(
-              1.0f, MatView<const float>(gaf.view()), 0.0f, gf.view());
-        },
-        3);
     rows.push_back({"syrk", "double", 8, w, s_d, syrk_flops / s_d * 1e-9,
                     s_d / s_s});
     rows.push_back(
         {"syrk", "single", 4, w, s_s, syrk_flops / s_s * 1e-9, 1.0});
-    rows.push_back({"syrk", "single_wide", 4, w, s_w,
-                    syrk_flops / s_w * 1e-9, s_w / s_s});
   }
   tucker::parallel::set_max_threads(1);
 }
 
 // The Gram kernel's real shape in ST-HOSVD is short-fat: m = a mode size,
 // n = the product of every other mode. A 32 x 524288 float operand is
-// 64 MB -- DRAM-resident -- so these rows measure the wide-accum overhead
-// in the streaming regime the driver actually runs in, where the extra
-// fp64 arithmetic hides behind memory latency far better than on the
-// cache-resident 512 x 1024 shape above.
+// 64 MB -- DRAM-resident -- so these rows measure single against double
+// in the streaming regime the driver actually runs in, where halving the
+// word halves the bytes streamed, unlike on the cache-resident 512 x 1024
+// shape above.
 void sweep_gram_stream(std::vector<Row>& rows) {
   const index_t m = 32, n = index_t{1} << 19;
   auto af = rand_mat<float>(m, n, 4);
@@ -173,18 +154,10 @@ void sweep_gram_stream(std::vector<Row>& rows) {
                              gf.view());
         },
         3);
-    const double s_w = time_best(
-        [&] {
-          tucker::blas::syrk<float, double>(
-              1.0f, MatView<const float>(af.view()), 0.0f, gf.view());
-        },
-        3);
     rows.push_back({"syrk_stream", "double", 8, w, s_d, flops / s_d * 1e-9,
                     s_d / s_s});
     rows.push_back(
         {"syrk_stream", "single", 4, w, s_s, flops / s_s * 1e-9, 1.0});
-    rows.push_back({"syrk_stream", "single_wide", 4, w, s_w,
-                    flops / s_w * 1e-9, s_w / s_s});
   }
   tucker::parallel::set_max_threads(1);
 }

@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <type_traits>
 
 #include "blas/blas1.hpp"
 #include "blas/matview.hpp"
@@ -45,8 +44,7 @@ inline constexpr index_t kGemmJB = 512;
 /// gemm k-blocking: depth of the packed A/B tiles; bounds the working set
 /// reused across the i loop. 256 doubles x (MR + NR) lanes stays
 /// comfortably inside L1 while amortizing the per-tile C load/store over a
-/// long fused k loop (a 64-deep k loop left ~30% on the table). Part of the
-/// Accum::kWide bits: a wide gemm rounds C to storage once per k block.
+/// long fused k loop (a 64-deep k loop left ~30% on the table).
 inline constexpr index_t kGemmKB = 256;
 
 /// gemm i-blocking: rows of A packed per block; keeps the packed A panel
@@ -60,13 +58,7 @@ inline constexpr index_t kGemmMC = 256;
 /// column-major is handled by computing C^T = B^T A^T; A and B panels are
 /// packed into contiguous tiles whatever their strides, so every layout
 /// runs at the micro-kernel rate.
-///
-/// TA is the register-tile accumulator (Accum::kWide passes wide_t<T>).
-/// Wide accumulation still spills C at storage width once per k block, so
-/// its bits depend on detail::kGemmKB (one storage rounding per spill,
-/// error ~(k/kb + 1) * eps_s instead of k * eps_s) -- but never on thread
-/// count, ISA level or output partition.
-template <class T, class TA = T>
+template <class T>
 void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
           MatView<T> c) {
   const index_t m = c.rows(), n = c.cols(), k = a.cols();
@@ -76,13 +68,10 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
   // Column-contiguous C: flip to the transposed product, which is
   // row-contiguous.
   if (c.col_stride() != 1 && c.row_stride() == 1) {
-    gemm<T, TA>(alpha, b.t(), a.t(), beta, c.t());
+    gemm(alpha, b.t(), a.t(), beta, c.t());
     return;
   }
 
-  // Flops count the arithmetic (performed at TA width under kWide); bytes
-  // count the streamed words, which stay at storage width. The two ledgers
-  // are deliberately independent -- see flops.hpp.
   add_flops(2 * m * n * k);
   add_traffic(flops::gemm_bytes(m, n, k, sizeof(T)));
 
@@ -116,7 +105,7 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
           static_cast<std::size_t>(detail::round_up(jb, kMicroNR) * kb));
       T* apack = ws.get<T>(
           static_cast<std::size_t>(detail::round_up(mc, kMicroMR) * kb));
-      const auto tile = detail::micro_kernels<T, TA>().tile;
+      const auto tile = detail::micro_kernels<T>().tile;
       for (index_t j0 = jlo; j0 < jhi; j0 += jb) {
         const index_t jn = std::min(jb, jhi - j0);
         for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -161,7 +150,7 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
     } else {
       run_panel(0, m, 0, n);
     }
-  } else if constexpr (std::is_same_v<T, TA>) {
+  } else {
     // Fully generic fallback (neither C orientation contiguous).
     for (index_t i = 0; i < m; ++i)
       for (index_t kk = 0; kk < k; ++kk) {
@@ -169,21 +158,6 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
         if (av == T(0)) continue;
         for (index_t j = 0; j < n; ++j) c(i, j) += av * b(kk, j);
       }
-  } else {
-    // Wide generic fallback: mimic the tiled path's chain exactly -- per
-    // element, widen C, accumulate one k block in TA, round to storage --
-    // so exotic layouts produce the same bits as the packed path.
-    const index_t kb = std::min(detail::kGemmKB, k);
-    for (index_t i = 0; i < m; ++i)
-      for (index_t j = 0; j < n; ++j)
-        for (index_t k0 = 0; k0 < k; k0 += kb) {
-          const index_t kn = std::min(kb, k - k0);
-          TA s = static_cast<TA>(c(i, j));
-          for (index_t kk = k0; kk < k0 + kn; ++kk)
-            s += static_cast<TA>(alpha * a(i, kk)) *
-                 static_cast<TA>(b(kk, j));
-          c(i, j) = static_cast<T>(s);
-        }
   }
 }
 
@@ -207,7 +181,7 @@ inline index_t prepacked_a_elems(index_t m, index_t k) {
 /// Bitwise contract: same jb/kb blocking, same packed values and the same
 /// mk_tile per-element ascending-k accumulation chain as `gemm` with
 /// beta = 0, so the result is bit-identical to the reference call.
-template <class T, class TA = T>
+template <class T>
 void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
                       MatView<T> c) {
   const index_t n = c.cols();
@@ -227,7 +201,7 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
   auto scratch = ws.frame();
   T* bpack =
       ws.get<T>(static_cast<std::size_t>(round_up(jb, kMicroNR) * kb));
-  const auto tile = micro_kernels<T, TA>().tile;
+  const auto tile = micro_kernels<T>().tile;
   for (index_t j0 = 0; j0 < n; j0 += jb) {
     const index_t jn = std::min(jb, n - j0);
     for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -252,8 +226,7 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
 }
 
 /// syrk's k-block depth. Each C element loads C, accumulates at most
-/// kSyrkKB columns of one block in the register tile and stores C back, so
-/// under Accum::kWide it takes one storage rounding per sub-chunk.
+/// kSyrkKB columns of one block in the register tile and stores C back.
 inline constexpr index_t kSyrkKB = 256;
 
 /// A step fans out into one row band per kSyrkBandFlops of its flops, at
@@ -268,7 +241,7 @@ inline constexpr index_t kSyrkMaxBands = 16;
 /// s * round_up(m, MR or NR) * kn. Pool workers pack disjoint row groups
 /// in one fanout and compute disjoint row bands in the next; the caller
 /// owns the panels (its arena) and the step fields between fanouts.
-template <class T, class TA>
+template <class T>
 struct SyrkSteps {
   MatView<const T> a;  // block 0; block j starts at a.data() + j * stride
   index_t stride;
@@ -384,7 +357,7 @@ struct SyrkSteps {
 /// (round_up(m, MR) + round_up(m, NR)) * kSyrkKB elements of the caller's
 /// arena. Its band count depends on m and the step width only. The upper
 /// triangle is mirrored from the lower.
-template <class T, class TA = T>
+template <class T>
 void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
                  T beta, MatView<T> c) {
   using detail::kMicroMR;
@@ -411,23 +384,11 @@ void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
     for (index_t jb = 0; jb < nblocks; ++jb) {
       const MatView<const T> b(a.data() + jb * stride, m, w, a.row_stride(),
                                a.col_stride());
-      if constexpr (std::is_same_v<T, TA>) {
-        for (index_t kk = 0; kk < w; ++kk)
-          for (index_t i = 0; i < m; ++i) {
-            const T av = alpha * b(i, kk);
-            for (index_t j = 0; j <= i; ++j) c(i, j) += av * b(j, kk);
-          }
-      } else {
-        for (index_t i = 0; i < m; ++i)
-          for (index_t j = 0; j <= i; ++j)
-            for (index_t k0 = 0; k0 < w; k0 += kSyrkKB) {
-              TA s = static_cast<TA>(c(i, j));
-              for (index_t kk = k0; kk < std::min(w, k0 + kSyrkKB); ++kk)
-                s += static_cast<TA>(alpha * b(i, kk)) *
-                     static_cast<TA>(b(j, kk));
-              c(i, j) = static_cast<T>(s);
-            }
-      }
+      for (index_t kk = 0; kk < w; ++kk)
+        for (index_t i = 0; i < m; ++i) {
+          const T av = alpha * b(i, kk);
+          for (index_t j = 0; j <= i; ++j) c(i, j) += av * b(j, kk);
+        }
     }
   } else {
     // Blocks wider than kSyrkKB run one sub-chunk per step; narrower ones
@@ -436,7 +397,7 @@ void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
     const index_t kc_max = std::min(kSyrkKB, per_step * w);
     Workspace& ws = Workspace::local();
     auto scratch = ws.frame();
-    detail::SyrkSteps<T, TA> st{
+    detail::SyrkSteps<T> st{
         a,
         stride,
         alpha,
@@ -445,7 +406,7 @@ void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
                                            kc_max)),
         ws.get<T>(static_cast<std::size_t>(detail::round_up(m, kMicroNR) *
                                            kc_max)),
-        detail::micro_kernels<T, TA>().tile};
+        detail::micro_kernels<T>().tile};
     for (index_t j = 0; j < nblocks; j += per_step) {
       if (w > kSyrkKB) {
         for (index_t k0 = 0; k0 < w; k0 += kSyrkKB)
@@ -463,11 +424,10 @@ void syrk_blocks(T alpha, MatView<const T> a, index_t nblocks, index_t stride,
 /// syrk_blocks. Computes the lower triangle with the register-tiled
 /// micro-kernel (the "B" operand is A^T, packed from the same matrix), then
 /// mirrors to the upper triangle (the Gram eigensolver wants the full
-/// symmetric matrix). TA as in gemm: wide accumulation spills at storage
-/// width per kSyrkKB-column sub-chunk.
-template <class T, class TA = T>
+/// symmetric matrix).
+template <class T>
 void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
-  syrk_blocks<T, TA>(alpha, a, 1, 0, beta, c);
+  syrk_blocks(alpha, a, 1, 0, beta, c);
 }
 
 }  // namespace tucker::blas

@@ -43,19 +43,8 @@
 //    columns [q*NR, q*NR+NR) as [kk][j] (NR consecutive columns per k
 //    step).
 
-// Wide accumulation (Accum::kWide, DESIGN.md Sec 13): every kernel below
-// also compiles with a second template parameter TA -- the accumulator
-// type -- defaulting to T. With TA = wide_t<T> (double for float storage)
-// loads and stores stay at storage width but every private accumulator is
-// TA; the float*float products are exact in double, so the per-element
-// error drops from O(k)*eps_s to one storage rounding per spill. The
-// determinism argument is unchanged: accumulators are still private and
-// k-ordered, so thread width / ISA level / tile shape never change bits
-// for either TA instantiation.
-
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 #include <vector>
 
 #include "blas/matview.hpp"
@@ -214,25 +203,21 @@ void pack_b(MatView<const T> b, index_t k0, index_t kn, index_t j0,
 }
 
 /// Scalar reference micro-kernel: C(r, 0:NR) += sum_kk ap[kk*MR+r] *
-/// bp[kk*NR+0:NR], full MR x NR tile, ldc = row stride of C. The register
-/// tile is TA; C is loaded (widened) once and stored (rounded) once per
-/// call, so a gemm k-block is exactly one TA accumulation run.
-template <class T, class TA = T>
+/// bp[kk*NR+0:NR], full MR x NR tile, ldc = row stride of C. C is loaded
+/// into the register tile once and stored once per call.
+template <class T>
 void mk_tile_scalar(index_t kn, const T* ap, const T* bp, T* c, index_t ldc) {
-  TA acc[kMicroMR][kMicroNR];
+  T acc[kMicroMR][kMicroNR];
   for (index_t r = 0; r < kMicroMR; ++r)
-    for (index_t j = 0; j < kMicroNR; ++j)
-      acc[r][j] = static_cast<TA>(c[r * ldc + j]);
+    for (index_t j = 0; j < kMicroNR; ++j) acc[r][j] = c[r * ldc + j];
   for (index_t kk = 0; kk < kn; ++kk) {
     const T* av = ap + kk * kMicroMR;
     const T* bv = bp + kk * kMicroNR;
     for (index_t r = 0; r < kMicroMR; ++r)
-      for (index_t j = 0; j < kMicroNR; ++j)
-        acc[r][j] += static_cast<TA>(av[r]) * static_cast<TA>(bv[j]);
+      for (index_t j = 0; j < kMicroNR; ++j) acc[r][j] += av[r] * bv[j];
   }
   for (index_t r = 0; r < kMicroMR; ++r)
-    for (index_t j = 0; j < kMicroNR; ++j)
-      c[r * ldc + j] = static_cast<T>(acc[r][j]);
+    for (index_t j = 0; j < kMicroNR; ++j) c[r * ldc + j] = acc[r][j];
 }
 
 // ------------------------------------------------------ TTM kernels
@@ -264,23 +249,17 @@ inline constexpr index_t kTtmAxpyMaxR = 64;
 /// k step in ascending k order -- is exactly the chain of the register-tile
 /// and streaming walks and of the packed gemm, so all are interchangeable
 /// bit for bit.
-/// The output slab C is typed on the accumulator TA: natively that is the
-/// destination itself; under wide accumulation the caller hands a TA
-/// scratch slab and rounds it to storage once at the end (ttm.hpp), so
-/// every element still sees a single full-k TA chain and the walks
-/// stay bitwise-interchangeable.
-template <class T, class TA>
+template <class T>
 void ttm_cols_scalar(index_t m, index_t k, const T* a, const T* b,
-                     index_t ldb, TA* c, index_t ldc, index_t j0, index_t j1) {
+                     index_t ldb, T* c, index_t ldc, index_t j0, index_t j1) {
   for (index_t r = 0; r < m; ++r)
-    for (index_t j = j0; j < j1; ++j) c[r * ldc + j] = TA(0);
+    for (index_t j = j0; j < j1; ++j) c[r * ldc + j] = T(0);
   for (index_t kk = 0; kk < k; ++kk) {
     const T* bv = b + kk * ldb;
     for (index_t r = 0; r < m; ++r) {
-      const TA av = static_cast<TA>(a[r * k + kk]);
-      TA* cv = c + r * ldc;
-      for (index_t j = j0; j < j1; ++j)
-        cv[j] += av * static_cast<TA>(bv[j]);
+      const T av = a[r * k + kk];
+      T* cv = c + r * ldc;
+      for (index_t j = j0; j < j1; ++j) cv[j] += av * bv[j];
     }
   }
 }
@@ -292,29 +271,29 @@ void ttm_cols_scalar(index_t m, index_t k, const T* a, const T* b,
 /// zero-padded columns beyond r), so both operands stream unit-stride --
 /// this replaces the strided `.t()` gemm views of the reference path.
 /// Requires r <= kTtmAxpyMaxR.
-template <class T, class TA = T>
+template <class T>
 void ttm_mode0_scalar(index_t k, index_t r, const T* ut, index_t ldut,
                       const T* x, T* y, index_t c0, index_t c1) {
-  TA acc[kTtmAxpyMaxR];
+  T acc[kTtmAxpyMaxR];
   for (index_t c = c0; c < c1; ++c) {
     const T* xc = x + c * k;
-    for (index_t q = 0; q < r; ++q) acc[q] = TA(0);
+    for (index_t q = 0; q < r; ++q) acc[q] = T(0);
     for (index_t kk = 0; kk < k; ++kk) {
-      const TA xv = static_cast<TA>(xc[kk]);
+      const T xv = xc[kk];
       const T* uv = ut + kk * ldut;
-      for (index_t q = 0; q < r; ++q) acc[q] += xv * static_cast<TA>(uv[q]);
+      for (index_t q = 0; q < r; ++q) acc[q] += xv * uv[q];
     }
     T* yc = y + c * r;
-    for (index_t q = 0; q < r; ++q) yc[q] = static_cast<T>(acc[q]);
+    for (index_t q = 0; q < r; ++q) yc[q] = acc[q];
   }
 }
 
 template <class T>
 using TileFn = void (*)(index_t kn, const T* ap, const T* bp, T* c,
                         index_t ldc);
-template <class T, class TA>
+template <class T>
 using TtmColsFn = void (*)(index_t m, index_t k, const T* a, const T* b,
-                           index_t ldb, TA* c, index_t ldc, index_t j0,
+                           index_t ldb, T* c, index_t ldc, index_t j0,
                            index_t j1);
 template <class T>
 using TtmMode0Fn = void (*)(index_t k, index_t r, const T* ut, index_t ldut,
@@ -323,11 +302,11 @@ using TtmMode0Fn = void (*)(index_t k, index_t r, const T* ut, index_t ldut,
 /// One level's kernels. `ttm_cols` is the register-tile walk over a
 /// cache-resident block, `ttm_rows` the sequential row-update walk for
 /// DRAM-resident blocks; the scalar oracle has one walk for both.
-template <class T, class TA>
+template <class T>
 struct MicroKernels {
   TileFn<T> tile;
-  TtmColsFn<T, TA> ttm_cols;
-  TtmColsFn<T, TA> ttm_rows;
+  TtmColsFn<T> ttm_cols;
+  TtmColsFn<T> ttm_rows;
   TtmMode0Fn<T> ttm_mode0;
 };
 
@@ -379,26 +358,26 @@ namespace tucker::blas::detail {
 
 /// The kernels of level `v` (the tables are data, so no code of a level
 /// runs before the level is chosen).
-template <class T, class TA = T>
-MicroKernels<T, TA> micro_kernels(KernelVariant v = kernel_variant()) {
+template <class T>
+MicroKernels<T> micro_kernels(KernelVariant v = kernel_variant()) {
   switch (v) {
     case KernelVariant::kScalar:
       break;
 #if TUCKER_ISA_LEVELS
     case KernelVariant::kAvx512:
-      return isa_avx512::kKernels<T, TA>;
+      return isa_avx512::kKernels<T>;
     case KernelVariant::kAvx2:
-      return isa_avx2::kKernels<T, TA>;
+      return isa_avx2::kKernels<T>;
 #endif
     default:
 #if TUCKER_HAVE_VEC_EXT
-      return isa_baseline::kKernels<T, TA>;
+      return isa_baseline::kKernels<T>;
 #else
       break;
 #endif
   }
-  return {&mk_tile_scalar<T, TA>, &ttm_cols_scalar<T, TA>,
-          &ttm_cols_scalar<T, TA>, &ttm_mode0_scalar<T, TA>};
+  return {&mk_tile_scalar<T>, &ttm_cols_scalar<T>, &ttm_cols_scalar<T>,
+          &ttm_mode0_scalar<T>};
 }
 
 /// Edge tile (mr < MR and/or nr < NR): runs the full kernel into a local

@@ -28,10 +28,8 @@ void reset_thread_flops();
 /// Add `n` bytes to the calling thread's memory-traffic counter. Level-3
 /// kernels credit their *minimum* traffic (each operand streamed once at
 /// its storage width, C read+written once); cache re-reads are not
-/// modeled. Kept separate from the flop counter because mixed-precision
-/// kernels decouple the two: gemm<float,double> performs fp64 flops over
-/// fp32 words, so a roofline column derived from flops alone would
-/// misprice it (satellite: split word-traffic bytes from flop precision).
+/// modeled. Kept separate from the flop counter: the bytes per flop depend
+/// on the storage width, which the flop count does not see.
 void add_traffic(std::int64_t n);
 
 /// Traffic bytes recorded by the calling thread since the last reset.

@@ -6,13 +6,8 @@
 // real scalar type T and consults these traits for machine epsilon and for
 // the cost-model parameters that depend on word size.
 //
-// Three layers live here:
-//   * precision<T>  -- name/eps/bytes_per_word for each storage type.
-//   * accum_for<T> / wide_t<T> -- the wide-accumulator trait behind
-//     Accum::kWide: fp32 storage pairs with fp64 register tiles, fp64
-//     storage is already as wide as we go.
-//   * Accum -- the per-call choice threaded through SthosvdOptions and the
-//     tensor kernels (SthosvdOptions::accum, default kNative).
+// Each kernel accumulates in its storage type: the accuracy rung of an
+// engine (eps for QR-SVD, sqrt(eps) for Gram-SVD) is read from T alone.
 
 #include <cstddef>
 #include <limits>
@@ -47,36 +42,14 @@ struct precision<double> {
 template <class T>
 concept Real = std::is_same_v<T, float> || std::is_same_v<T, double>;
 
-// ------------------------------------------------- wide-accumulator traits
-
-/// Register-tile accumulator type used when a kernel runs with
-/// Accum::kWide: fp32 storage accumulates in fp64; fp64 storage has no
-/// wider native type, so wide degenerates to native (one instantiation,
-/// bitwise-identical results).
-template <class T>
-struct accum_for {
-  using type = T;
-};
-
-template <>
-struct accum_for<float> {
-  using type = double;
-};
-
-template <class T>
-using wide_t = typename accum_for<T>::type;
-
-/// Accumulator-width knob carried by SthosvdOptions and threaded through
-/// gram/ttm/sketch/svd dispatch. kNative keeps the historical behavior
-/// (accumulate at storage precision); kWide loads/stores storage-width
-/// words but keeps every register tile and dot partial in wide_t<T>; the
-/// LQ and the small SVD always run at storage precision. Flop credits are
-/// unchanged (same operation count); word-traffic credits stay at storage
-/// width -- that split is the whole point (satellite: flop precision !=
-/// word width).
-enum class Accum {
-  kNative,
-  kWide,
-};
+/// A one-value enum, kept only because benchmark/compress.cpp still passes
+/// Accum::kNative as the trailing argument of eight calls. Exactly those
+/// eight functions keep an unnamed, ignored trailing `Accum =
+/// Accum::kNative`: core::sthosvd (positional), core::svd_of_l,
+/// core::rand_svd, tensor::gram_of_unfolding, tensor::ttm_into,
+/// tensor::sketch_unfolding_cols, tensor::unfolding_aat_multiply and
+/// tensor::projected_gram. ROADMAP item 9 drops the argument from those
+/// calls and then deletes the enum and the eight parameters.
+enum class Accum { kNative };
 
 }  // namespace tucker

@@ -7,7 +7,7 @@
 // Cache blocking and the fan-out threshold are constants where they are
 // used (blas::detail::kGemmJB/KB/MC, parallel::kMinFanoutFlops); every
 // other former knob is the default of the options field it repeated
-// (StreamOptions::chunk_bytes, SthosvdOptions::accum, ServeOptions). These
+// (StreamOptions::chunk_bytes, ServeOptions). These
 // four return ServeOptions defaults, for callers that print the
 // configuration a service runs with.
 

@@ -127,8 +127,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
                                 const TruncationSpec& spec, SvdMethod method,
                                 std::vector<std::size_t> order = {},
                                 const RandSvdOptions& ropt = {},
-                                const OverlapOptions& ov = {},
-                                Accum accum = Accum::kNative) {
+                                const OverlapOptions& ov = {}) {
   const std::size_t nmodes = x.order();
   mpi::Comm& world = x.world();
   if (order.empty()) order = forward_order(nmodes);
@@ -179,7 +178,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
       auto rg = world.region(label + "/TTM");
       dist::par_ttm_truncate_into(*ycur, n, blas::MatView<const T>(un.view()),
                                   slots[static_cast<std::size_t>(dst)],
-                                  overlap, accum);
+                                  overlap);
       world.sync_cpu_clock();
     }
     ycur = &slots[static_cast<std::size_t>(dst)];
@@ -216,7 +215,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
             ysrc, n, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
             threshold_sq, ropt.oversample, ropt.power_iters, ropt.seed,
             ropt.rank_guess, "mode" + std::to_string(n), /*nonblocking=*/true,
-            sk[i], &src_norm_sq, accum);
+            sk[i], &src_norm_sq);
       }
       const std::vector<std::size_t> sched =
           detail::sketch_finalize_schedule(ysrc, order, pos, nwin, spec, ropt);
@@ -238,8 +237,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
       blas::Matrix<T> g(0, 0);
       {
         auto rg = world.region(label + "/Gram");
-        g = dist::par_gram(y, n, overlap ? ov.gram_pieces : index_t{1},
-                           accum);
+        g = dist::par_gram(y, n, overlap ? ov.gram_pieces : index_t{1});
       }
       auto rg = world.region(label + "/EVD");
       svd = svd_of_gram(g);
@@ -250,12 +248,11 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
       svd = dist::par_rand_svd(
           y, n, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
           threshold_sq, ropt.oversample, ropt.power_iters, ropt.seed,
-          ropt.rank_guess, label, accum);
+          ropt.rank_guess, label);
     } else {
       // kQr and kStream both land here: the distributed butterfly TSQR of
       // par_tensor_lq *is* a hierarchical triangle merge (the same tplqt
-      // reduction SvdMethod::kStream runs over trailing-mode chunks), so
-      // the streaming method needs no separate distributed code path.
+      // reduction the out-of-core driver runs over trailing-mode slabs).
       blas::Matrix<T> l(0, 0);
       {
         auto rg = world.region(label + "/LQ");
@@ -287,7 +284,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
                                 const SthosvdOptions& opt) {
   return par_sthosvd(x, spec, method,
                      resolve_order(x.global_dims(), spec, method, opt),
-                     opt.rand, opt.overlap, opt.accum);
+                     opt.rand, opt.overlap);
 }
 
 }  // namespace tucker::core

@@ -69,12 +69,7 @@ inline double modeled_mode_flops(index_t m, index_t cols, index_t r,
       svd = static_cast<double>(flops::gram_unfolding(m, cols));
       break;
     case SvdMethod::kQr:
-      svd = static_cast<double>(flops::qr_svd_unfolding(m, cols));
-      break;
-    case SvdMethod::kStream:
-      // Same leading-order cost as QR-SVD: the per-chunk LQs sum to the
-      // full unfolding's LQ and the O(log C) triangle merges are an
-      // m^2-sized tail the ordering heuristic can ignore.
+    case SvdMethod::kStream:  // QR-SVD on a resident tensor
       svd = static_cast<double>(flops::qr_svd_unfolding(m, cols));
       break;
     case SvdMethod::kRand: {
@@ -191,11 +186,6 @@ struct SthosvdOptions {
   std::vector<index_t> rank_estimates;
   RandSvdOptions rand;
   OverlapOptions overlap;
-  /// Accumulator width for the flop-dominant kernels (Gram/sketch gemms,
-  /// truncation TTMs). kWide widens fp32 to fp64 register accumulators at
-  /// unchanged storage; for T = double it is the identity. The LQ and the
-  /// small SVD always run at storage precision (DESIGN.md Sec 13).
-  Accum accum = Accum::kNative;
 };
 
 inline std::vector<std::size_t> resolve_order(const tensor::Dims& dims,
@@ -245,16 +235,15 @@ template <class T>
 void sthosvd_mode(const tensor::Tensor<T>& y, std::size_t n,
                   const TruncationSpec& spec, SvdMethod method,
                   double threshold_sq, const RandSvdOptions& ropt,
-                  Accum accum, SthosvdResult<T>& out,
-                  tensor::Tensor<T>& next) {
+                  SthosvdResult<T>& out, tensor::Tensor<T>& next) {
   // The randomized engine needs the truncation context (target rank or
   // energy budget) to size its sketch; Gram/QR ignore both extras.
   const ModeSvd<T> svd = mode_svd(
       y, n, method, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
-      threshold_sq, ropt, accum);
+      threshold_sq, ropt);
   blas::Matrix<T> u = truncate_mode(svd, spec, n, threshold_sq,
                                     out.mode_sigmas[n], out.ranks[n]);
-  tensor::ttm_into(y, n, blas::MatView<const T>(u.view().t()), next, accum);
+  tensor::ttm_into(y, n, blas::MatView<const T>(u.view().t()), next);
   out.tucker.factors[n] = std::move(u);
 }
 
@@ -266,7 +255,7 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
                          const TruncationSpec& spec, SvdMethod method,
                          std::vector<std::size_t> order = {},
                          const RandSvdOptions& ropt = {},
-                         Accum accum = Accum::kNative) {
+                         Accum = Accum::kNative) {
   const std::size_t nmodes = x.order();
   if (order.empty()) order = forward_order(nmodes);
   check_spec_and_order(spec, order, nmodes);
@@ -287,8 +276,7 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
   const tensor::Tensor<T>* ycur = &x;
   std::size_t slot = 0;
   for (std::size_t n : order) {
-    sthosvd_mode(*ycur, n, spec, method, threshold_sq, ropt, accum, out,
-                 pp[slot]);
+    sthosvd_mode(*ycur, n, spec, method, threshold_sq, ropt, out, pp[slot]);
     ycur = &pp[slot];
     slot ^= 1;
   }
@@ -306,7 +294,7 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
                          const TruncationSpec& spec, SvdMethod method,
                          const SthosvdOptions& opt) {
   return sthosvd(x, spec, method, resolve_order(x.dims(), spec, method, opt),
-                 opt.rand, opt.accum);
+                 opt.rand);
 }
 
 }  // namespace tucker::core

@@ -13,11 +13,9 @@
 //    with w = rank + oversampling instead of O(m^2 cols) -- the win when
 //    selected ranks are a small fraction of the mode size. Tolerance mode
 //    is honored via adaptive oversampling (see rand_svd).
-//  - Stream (stream_svd, Iwen-Ong hierarchical SVD): QR-SVD computed per
-//    trailing-mode chunk and merged up a binary tree of tplqt calls; same
-//    flop order and accuracy rung as QR-SVD, but the working set is one
-//    chunk's unfolding (stream::kDefaultChunkBytes) -- the in-memory face of
-//    the out-of-core stream_sthosvd driver (src/stream/).
+//  - Stream: in memory it is QR-SVD, bit for bit (mode_svd runs qr_svd).
+//    The enumerator stays for callers that name it; the out-of-core
+//    stream_sthosvd driver (src/stream/) takes any engine.
 //
 // All engines return squared singular values (descending) plus the left
 // singular vector matrix. Gram-SVD follows the paper's convention for
@@ -38,7 +36,6 @@
 #include "lapack/qr.hpp"
 #include "lapack/svd.hpp"
 #include "lapack/tridiag_eig.hpp"
-#include "stream/hier_svd.hpp"
 #include "tensor/gram.hpp"
 #include "tensor/sketch.hpp"
 #include "tensor/tensor.hpp"
@@ -84,9 +81,8 @@ ModeSvd<T> svd_of_gram(const blas::Matrix<T>& g) {
 /// SVD of the mode-n unfolding via the Gram matrix (TuckerMPI's Alg 2 +
 /// symmetric eigensolver).
 template <class T>
-ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
-                    Accum accum = Accum::kNative) {
-  return svd_of_gram(tensor::gram_of_unfolding(y, n, accum));
+ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n) {
+  return svd_of_gram(tensor::gram_of_unfolding(y, n));
 }
 
 /// Dense solver used for the small SVD of the triangular factor:
@@ -100,10 +96,8 @@ ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
 enum class SmallSvdBackend { kJacobi, kGolubKahan, kAuto = kGolubKahan };
 
 /// Small SVD of an LQ triangle: the shared back half of qr_svd and the
-/// streaming engine (both must take the identical code path so a
-/// single-chunk stream is bitwise equal to the in-memory QR-SVD). Both
-/// solvers run at storage precision; the trailing Accum parameter is
-/// ignored.
+/// out-of-core drivers' merged triangles. Both solvers run at storage
+/// precision.
 template <class T>
 ModeSvd<T> svd_of_l(blas::Matrix<T> l, SmallSvdBackend backend,
                     Accum = Accum::kNative) {
@@ -124,28 +118,11 @@ ModeSvd<T> svd_of_l(blas::Matrix<T> l, SmallSvdBackend backend,
 
 /// SVD of the mode-n unfolding via LQ preprocessing (paper Alg 2 + SVD of
 /// the triangular factor, right singular vectors never formed). The LQ is
-/// Householder-based and, like the small SVD, runs at storage precision
-/// (DESIGN.md Sec 13).
+/// Householder-based and, like the small SVD, runs at storage precision.
 template <class T>
 ModeSvd<T> qr_svd(const Tensor<T>& y, std::size_t n,
                   SmallSvdBackend backend = SmallSvdBackend::kAuto) {
   return svd_of_l(tensor::tensor_lq(y, n), backend);
-}
-
-/// Hierarchical streaming QR-SVD (SvdMethod::kStream): the unfolding's LQ
-/// triangle is assembled per trailing-mode chunk and merged up a binary
-/// tree (Iwen-Ong, src/stream/hier_svd.hpp), then the same small SVD as
-/// qr_svd runs on the merged triangle. chunk_slices == 0 sizes chunks from
-/// the stream::kDefaultChunkBytes budget. One chunk reduces to qr_svd exactly;
-/// more chunks stay on the eps*||A|| rung with a log-depth constant.
-template <class T>
-ModeSvd<T> stream_svd(const Tensor<T>& y, std::size_t n,
-                      index_t chunk_slices = 0,
-                      SmallSvdBackend backend = SmallSvdBackend::kAuto) {
-  if (chunk_slices <= 0)
-    chunk_slices = stream::chunk_slices_for_budget<T>(
-        y.dims(), stream::kDefaultChunkBytes);
-  return svd_of_l(stream::chunked_unfolding_lq(y, n, chunk_slices), backend);
 }
 
 /// Knobs of the randomized range finder. Defaults follow the HMT
@@ -193,7 +170,7 @@ struct RandSvdOptions {
 template <class T>
 ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
                     double threshold_sq, const RandSvdOptions& opt = {},
-                    Accum accum = Accum::kNative) {
+                    Accum = Accum::kNative) {
   const index_t m = y.dim(n);
   const index_t cols = tensor::prod_before(y.dims(), n) *
                        tensor::prod_after(y.dims(), n);
@@ -233,7 +210,7 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
   index_t wprev = 0;
   for (;;) {
     tensor::sketch_unfolding_cols(y, n, stream, wprev, w,
-                                  sall.block(0, wprev, m, w - wprev), accum);
+                                  sall.block(0, wprev, m, w - wprev));
     auto wv = blas::MatView<T>::row_major(wdata, m, w);
     blas::copy(blas::MatView<const T>(sall.block(0, 0, m, w)), wv);
     auto qv = blas::MatView<T>::row_major(qdata, m, w);
@@ -242,14 +219,13 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
       // iteration; unstabilized powers underflow past a few iterations).
       la::geqrf(wv, tau);
       la::form_q_into(blas::MatView<const T>(wv), tau, qv);
-      tensor::unfolding_aat_multiply(y, n, blas::MatView<const T>(qv), wv,
-                                     accum);
+      tensor::unfolding_aat_multiply(y, n, blas::MatView<const T>(qv), wv);
     }
     la::geqrf(wv, tau);
     la::form_q_into(blas::MatView<const T>(wv), tau, qv);
 
     auto gv = blas::MatView<T>::row_major(gdata, w, w);
-    tensor::projected_gram(y, n, blas::MatView<const T>(qv), gv, accum);
+    tensor::projected_gram(y, n, blas::MatView<const T>(qv), gv);
     auto eig = la::tridiag_eig(blas::MatView<const T>(gv));
 
     double captured = 0;
@@ -279,14 +255,8 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
     }
     if (accept) {
       out.u = blas::Matrix<T>(m, w);
-      if (accum == Accum::kWide) {
-        blas::gemm<T, wide_t<T>>(T(1), blas::MatView<const T>(qv),
-                                 blas::MatView<const T>(eig.v.view()), T(0),
-                                 out.u.view());
-      } else {
-        blas::gemm(T(1), blas::MatView<const T>(qv),
-                   blas::MatView<const T>(eig.v.view()), T(0), out.u.view());
-      }
+      blas::gemm(T(1), blas::MatView<const T>(qv),
+                 blas::MatView<const T>(eig.v.view()), T(0), out.u.view());
       return out;
     }
     wprev = w;
@@ -296,21 +266,20 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
 
 /// Dispatches on the method enum with full truncation context (fixed_rank
 /// as in rand_svd; both extra arguments are ignored by the deterministic
-/// engines, which always compute the full factorization).
+/// engines, which always compute the full factorization). kStream is
+/// kQr on a resident tensor.
 template <class T>
 ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
                     index_t fixed_rank, double threshold_sq,
-                    const RandSvdOptions& ropt = {},
-                    Accum accum = Accum::kNative) {
+                    const RandSvdOptions& ropt = {}) {
   switch (method) {
     case SvdMethod::kGram:
-      return gram_svd(y, n, accum);
+      return gram_svd(y, n);
     case SvdMethod::kQr:
+    case SvdMethod::kStream:
       return qr_svd(y, n);
     case SvdMethod::kRand:
-      return rand_svd(y, n, fixed_rank, threshold_sq, ropt, accum);
-    case SvdMethod::kStream:
-      return stream_svd(y, n);
+      return rand_svd(y, n, fixed_rank, threshold_sq, ropt);
   }
   TUCKER_CHECK(false, "mode_svd: unknown method");
   return {};

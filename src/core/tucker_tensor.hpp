@@ -98,8 +98,7 @@ std::vector<tensor::PrepackedFactor<T>> prepack_factors(
 template <class T>
 void reconstruct_into(const TuckerTensor<T>& tk, tensor::Tensor<T>& out,
                       const std::vector<tensor::PrepackedFactor<T>>* packs =
-                          nullptr,
-                      Accum accum = Accum::kNative) {
+                          nullptr) {
   const std::size_t nmodes = tk.factors.size();
   TUCKER_CHECK(packs == nullptr || packs->size() == nmodes,
                "reconstruct_into: one prepacked factor per mode");
@@ -114,9 +113,9 @@ void reconstruct_into(const TuckerTensor<T>& tk, tensor::Tensor<T>& out,
   for (std::size_t n = 0; n < nmodes; ++n) {
     tensor::Tensor<T>* dst = (n + 1 == nmodes) ? &out : &pp[slot];
     if (packs != nullptr) {
-      tensor::ttm_prepacked_into(*src, n, (*packs)[n], *dst, accum);
+      tensor::ttm_prepacked_into(*src, n, (*packs)[n], *dst);
     } else {
-      tensor::ttm_into(*src, n, tk.factors[n].cview(), *dst, accum);
+      tensor::ttm_into(*src, n, tk.factors[n].cview(), *dst);
     }
     src = dst;
     slot ^= 1;
@@ -135,7 +134,7 @@ struct DemandBox {
 /// `out` (reshaped to the box dims). Pure data movement -- every copied
 /// element keeps the exact bits the full chain produced, which is why the
 /// batched serving path may answer a region request from a fused full
-/// reconstruction (native accumulation only; see reconstruct_batch_into).
+/// reconstruction.
 template <class T>
 void gather_region_into(const tensor::Tensor<T>& full,
                         const std::vector<blas::index_t>& lo,
@@ -191,8 +190,8 @@ struct BatchScratch {
   std::vector<std::array<tensor::Tensor<T>, 2>> pp;
   std::vector<const tensor::Tensor<T>*> srcs;
   std::vector<int> slots;
-  std::vector<const tensor::Tensor<T>*> xs_native, xs_wide;
-  std::vector<tensor::Tensor<T>*> ys_native, ys_wide;
+  std::vector<const tensor::Tensor<T>*> xs;
+  std::vector<tensor::Tensor<T>*> ys;
 };
 
 }  // namespace detail
@@ -204,19 +203,15 @@ struct BatchScratch {
 /// while sliced chains apply their factor row-block exactly as
 /// reconstruct_region does. Bitwise contract (the serving layer's hard
 /// invariant): every full-box output equals reconstruct_into(tk, out,
-/// packs, accum) bit for bit, and every region output equals
+/// packs) bit for bit, and every region output equals
 /// reconstruct_region(lo, hi) bit for bit, regardless of batch
-/// composition, chain order, or thread width. Region chains always
-/// accumulate natively -- mirroring reconstruct_region -- so a kWide fused
-/// job runs its full-box chains wide and its region chains native, in two
-/// grouped passes per mode.
+/// composition, chain order, or thread width.
 template <class T>
 void reconstruct_batch_into(const TuckerTensor<T>& tk,
                             const std::vector<DemandBox>& boxes,
                             const std::vector<tensor::Tensor<T>*>& outs,
                             const std::vector<tensor::PrepackedFactor<T>>*
-                                packs = nullptr,
-                            Accum accum = Accum::kNative) {
+                                packs = nullptr) {
   const std::size_t nmodes = tk.factors.size();
   const std::size_t nchains = boxes.size();
   TUCKER_CHECK(outs.size() == nchains,
@@ -227,7 +222,7 @@ void reconstruct_batch_into(const TuckerTensor<T>& tk,
   if (nchains == 1 && boxes[0].full()) {
     // Delegate so a batch that degenerates to one full request walks the
     // identical scratch path (and arena watermark) as the unbatched one.
-    reconstruct_into(tk, *outs[0], packs, accum);
+    reconstruct_into(tk, *outs[0], packs);
     return;
   }
   for (const auto& b : boxes) {
@@ -251,10 +246,8 @@ void reconstruct_batch_into(const TuckerTensor<T>& tk,
   sc.slots.assign(nchains, 0);
 
   for (std::size_t n = 0; n < nmodes; ++n) {
-    sc.xs_native.clear();
-    sc.ys_native.clear();
-    sc.xs_wide.clear();
-    sc.ys_wide.clear();
+    sc.xs.clear();
+    sc.ys.clear();
     const blas::index_t rows_full = tk.factors[n].rows();
     for (std::size_t b = 0; b < nchains; ++b) {
       tensor::Tensor<T>* dst =
@@ -263,36 +256,26 @@ void reconstruct_batch_into(const TuckerTensor<T>& tk,
           !boxes[b].full() &&
           (boxes[b].lo[n] != 0 || boxes[b].hi[n] != rows_full);
       if (sliced) {
-        // Same sliced-factor TTM (and native accumulation) as
-        // reconstruct_region -- the chain must reproduce its bits exactly.
+        // Same sliced-factor TTM as reconstruct_region -- the chain must
+        // reproduce its bits exactly.
         auto rows = tk.factors[n].view().block(
             boxes[b].lo[n], 0, boxes[b].hi[n] - boxes[b].lo[n],
             tk.factors[n].cols());
-        tensor::ttm_into(*sc.srcs[b], n, blas::MatView<const T>(rows), *dst,
-                         Accum::kNative);
-      } else if (boxes[b].full() && accum == Accum::kWide) {
-        sc.xs_wide.push_back(sc.srcs[b]);
-        sc.ys_wide.push_back(dst);
+        tensor::ttm_into(*sc.srcs[b], n, blas::MatView<const T>(rows), *dst);
       } else {
-        sc.xs_native.push_back(sc.srcs[b]);
-        sc.ys_native.push_back(dst);
+        sc.xs.push_back(sc.srcs[b]);
+        sc.ys.push_back(dst);
       }
       sc.srcs[b] = dst;
       sc.slots[b] ^= 1;
     }
-    auto run_group = [&](const std::vector<const tensor::Tensor<T>*>& xs,
-                         const std::vector<tensor::Tensor<T>*>& ys,
-                         Accum a) {
-      if (xs.empty()) return;
-      if (packs != nullptr) {
-        tensor::ttm_packed_multi_into(xs, n, (*packs)[n], ys, a);
-      } else {
-        for (std::size_t i = 0; i < xs.size(); ++i)
-          tensor::ttm_into(*xs[i], n, tk.factors[n].cview(), *ys[i], a);
-      }
-    };
-    run_group(sc.xs_native, sc.ys_native, Accum::kNative);
-    run_group(sc.xs_wide, sc.ys_wide, Accum::kWide);
+    if (sc.xs.empty()) continue;
+    if (packs != nullptr) {
+      tensor::ttm_packed_multi_into(sc.xs, n, (*packs)[n], sc.ys);
+    } else {
+      for (std::size_t i = 0; i < sc.xs.size(); ++i)
+        tensor::ttm_into(*sc.xs[i], n, tk.factors[n].cview(), *sc.ys[i]);
+    }
   }
 }
 

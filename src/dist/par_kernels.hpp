@@ -329,24 +329,16 @@ class GlobalColMap {
 /// modeled critical path at large P.
 template <class T>
 blas::Matrix<T> par_gram(const DistTensor<T>& y, std::size_t n,
-                         index_t pieces = 1, Accum accum = Accum::kNative) {
+                         index_t pieces = 1) {
   const index_t m = y.global_dim(n);
   blas::Matrix<T> g(m, m);
   if (y.grid().dim(n) == 1) {
-    if (y.local().size() > 0)
-      g = tensor::gram_of_unfolding(y.local(), n, accum);
+    if (y.local().size() > 0) g = tensor::gram_of_unfolding(y.local(), n);
   } else {
     ColMatrix<T> z = redistribute_unfolding(y, n);
-    if (z.cols > 0) {
-      if (accum == Accum::kWide) {
-        blas::syrk<T, wide_t<T>>(
-            T(1), static_cast<blas::MatView<const T>>(z.view()), T(0),
-            g.view());
-      } else {
-        blas::syrk(T(1), static_cast<blas::MatView<const T>>(z.view()), T(0),
-                   g.view());
-      }
-    }
+    if (z.cols > 0)
+      blas::syrk(T(1), static_cast<blas::MatView<const T>>(z.view()), T(0),
+                 g.view());
   }
   pieces = std::max<index_t>(1, std::min(pieces, std::max<index_t>(m, 1)));
   if (pieces <= 1) {
@@ -411,8 +403,7 @@ blas::Matrix<T> par_tensor_lq(const DistTensor<T>& y, std::size_t n) {
 template <class T>
 void par_ttm_truncate_into(const DistTensor<T>& x, std::size_t n,
                            blas::MatView<const T> u, DistTensor<T>& out,
-                           bool overlap = false,
-                           Accum accum = Accum::kNative) {
+                           bool overlap = false) {
   TUCKER_CHECK(u.rows() == x.global_dim(n), "par_ttm: U row mismatch");
   TUCKER_CHECK(&x != &out, "par_ttm: x and out must be distinct");
   const index_t r = u.cols();
@@ -426,8 +417,7 @@ void par_ttm_truncate_into(const DistTensor<T>& x, std::size_t n,
   const Range rows = x.mode_range(n);
   auto usub = u.block(rows.lo, 0, rows.size(), r);
   auto& tmp = ws.stash<tensor::Tensor<T>>("dist.par_ttm.partial");
-  tensor::ttm_into(x.local(), n, blas::MatView<const T>(usub.t()), tmp,
-                   accum);
+  tensor::ttm_into(x.local(), n, blas::MatView<const T>(usub.t()), tmp);
 
   const index_t pn = x.grid().dim(n);
   if (pn > 1 && tmp.size() > 0) {
@@ -532,7 +522,6 @@ struct ModeSketchState {
   std::optional<mpi::Comm> slice;
   std::vector<T> snew;  // mloc x w first-round sketch slab (reduced)
   mpi::Request req;     // pending slice iallreduce (nonblocking dispatch)
-  Accum accum = Accum::kNative;  // accumulator width captured at dispatch
 };
 
 /// Dispatch half of par_rand_svd: creates the slice communicator, draws
@@ -557,8 +546,7 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
                           std::uint64_t seed, index_t rank_guess,
                           const std::string& label, bool nonblocking,
                           ModeSketchState<T>& st,
-                          const double* known_norm_sq = nullptr,
-                          Accum accum = Accum::kNative) {
+                          const double* known_norm_sq = nullptr) {
   mpi::Comm& world = y.world();
   st.mode = n;
   st.label = label;
@@ -566,7 +554,6 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
   st.threshold_sq = threshold_sq;
   st.oversample = oversample;
   st.power_iters = power_iters;
-  st.accum = accum;
   // Ranks sharing my mode-n coordinate hold the same rows of the unfolding
   // but different column sets: their partials sum over this communicator.
   st.slice.emplace(
@@ -606,7 +593,7 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
       static_cast<std::size_t>(std::max<index_t>(st.mloc, 1) * st.w), T(0));
   auto snew = blas::MatView<T>::row_major(st.snew.data(), st.mloc, st.w);
   tensor::sketch_unfolding_cols(y.local(), n, st.stream, 0, st.w, *st.colmap,
-                                snew, accum);
+                                snew);
   if (nonblocking)
     st.req =
         st.slice->iallreduce(st.snew.data(), st.mloc * st.w, mpi::Op::kSum);
@@ -646,25 +633,6 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
   const double norm_sq = st.norm_sq;
   const double threshold_sq = st.threshold_sq;
   index_t w = st.w;
-  // Wide-accumulator dispatch for the local level-3 kernels; the collective
-  // reductions stay at storage width (the wire format is T either way).
-  const Accum accum = st.accum;
-  auto wgemm = [&](T alpha, blas::MatView<const T> a, blas::MatView<const T> b,
-                   T beta, blas::MatView<T> c) {
-    if (accum == Accum::kWide) {
-      blas::gemm<T, wide_t<T>>(alpha, a, b, beta, c);
-    } else {
-      blas::gemm(alpha, a, b, beta, c);
-    }
-  };
-  auto wsyrk = [&](T alpha, blas::MatView<const T> a, T beta,
-                   blas::MatView<T> c) {
-    if (accum == Accum::kWide) {
-      blas::syrk<T, wide_t<T>>(alpha, a, beta, c);
-    } else {
-      blas::syrk(alpha, a, beta, c);
-    }
-  };
 
   Workspace& ws = Workspace::local();
   auto arena = ws.frame();
@@ -705,7 +673,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
                                                wnew)),
             mloc, wnew);
         tensor::sketch_unfolding_cols(y.local(), n, st.stream, wprev, w,
-                                      *st.colmap, snew, accum);
+                                      *st.colmap, snew);
         slice.allreduce(snew.data(), mloc * wnew, mpi::Op::kSum);
         if (mloc > 0)
           blas::copy(blas::MatView<const T>(snew),
@@ -724,15 +692,15 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
         tensor::for_each_unfolding_panel(
             y.local(), n, [&](blas::MatView<const T> panel, index_t c0) {
               auto zp = z.block(c0, 0, panel.cols(), w);
-              wgemm(T(1), blas::MatView<const T>(panel.t()),
-                    blas::MatView<const T>(qv), T(0), zp);
+              blas::gemm(T(1), blas::MatView<const T>(panel.t()),
+                         blas::MatView<const T>(qv), T(0), zp);
             });
         fiber.allreduce(z.data(), cols_loc * w, mpi::Op::kSum);
         blas::fill(wv, T(0));
         tensor::for_each_unfolding_panel(
             y.local(), n, [&](blas::MatView<const T> panel, index_t c0) {
               auto zp = z.block(c0, 0, panel.cols(), w);
-              wgemm(T(1), panel, blas::MatView<const T>(zp), T(1), wv);
+              blas::gemm(T(1), panel, blas::MatView<const T>(zp), T(1), wv);
             });
         slice.allreduce(wdata, mloc * w, mpi::Op::kSum);
       }
@@ -752,12 +720,13 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
       tensor::for_each_unfolding_panel(
           y.local(), n, [&](blas::MatView<const T> panel, index_t c0) {
             auto bp = b.block(0, c0, w, panel.cols());
-            wgemm(T(1), blas::MatView<const T>(qv.t()), panel, T(0), bp);
+            blas::gemm(T(1), blas::MatView<const T>(qv.t()), panel, T(0),
+                       bp);
           });
       fiber.allreduce(b.data(), w * cols_loc, mpi::Op::kSum);
       auto g = blas::MatView<T>::row_major(
           ws.get<T>(static_cast<std::size_t>(w * w)), w, w);
-      wsyrk(T(1), blas::MatView<const T>(b), T(0), g);
+      blas::syrk(T(1), blas::MatView<const T>(b), T(0), g);
       slice.allreduce(g.data(), w * w, mpi::Op::kSum);
       auto eig = la::tridiag_eig(blas::MatView<const T>(g));
       world.sync_cpu_clock();
@@ -792,9 +761,9 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
       // Q slabs, so only slice rank 0 contributes its block and a world
       // allreduce replicates the stacked result.
       if (mloc > 0 && slice.rank() == 0) {
-        wgemm(T(1), blas::MatView<const T>(qv),
-              blas::MatView<const T>(v.view()), T(0),
-              out.u.view().block(st.rows_lo, 0, mloc, w));
+        blas::gemm(T(1), blas::MatView<const T>(qv),
+                   blas::MatView<const T>(v.view()), T(0),
+                   out.u.view().block(st.rows_lo, 0, mloc, w));
       }
       world.allreduce(out.u.data(), m * w, mpi::Op::kSum);
       world.sync_cpu_clock();
@@ -819,12 +788,11 @@ core::ModeSvd<T> par_rand_svd(const DistTensor<T>& y, std::size_t n,
                               index_t fixed_rank, double threshold_sq,
                               index_t oversample, int power_iters,
                               std::uint64_t seed, index_t rank_guess,
-                              const std::string& label,
-                              Accum accum = Accum::kNative) {
+                              const std::string& label) {
   ModeSketchState<T> st;
   dispatch_mode_sketch(y, n, fixed_rank, threshold_sq, oversample,
                        power_iters, seed, rank_guess, label,
-                       /*nonblocking=*/false, st, nullptr, accum);
+                       /*nonblocking=*/false, st);
   return finalize_mode_sketch(y, st);
 }
 

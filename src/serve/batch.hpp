@@ -1,6 +1,6 @@
 #pragma once
 // Batch planner of the serving layer: decides how a group of queued
-// reconstruction requests against one (model, accum) fusion key executes
+// reconstruction requests against one model's fusion key executes
 // as a single fused job (DESIGN.md Sec 15).
 //
 // Eligibility is decided per request, never per batch: a request either
@@ -12,15 +12,12 @@
 //    request in the group -- its response is a bitwise copy of the
 //    representative's output. Same-model bursts are the common serving
 //    case, so this is where most of the fused win comes from.
-//  - kGather: a region request in a *native-accumulation* group that also
-//    contains a full reconstruction -- its box is copied out of the full
-//    chain's output (core::gather_region_into). Safe because every region
-//    element is produced by the identical per-element TTM chain as the
-//    same global index of the full chain (factor slicing only removes
-//    rows, never reorders a contraction). Wide groups never gather: the
-//    unbatched region path always accumulates natively, while the wide
-//    full chain spills differently, so the bits need not match -- region
-//    chains in a wide group keep their own (native) chains instead.
+//  - kGather: a region request in a group that also contains a full
+//    reconstruction -- its box is copied out of the full chain's output
+//    (core::gather_region_into). Safe because every region element is
+//    produced by the identical per-element TTM chain as the same global
+//    index of the full chain (factor slicing only removes rows, never
+//    reorders a contraction).
 //
 // Marginal admission pricing: a fused job's modeled cost is the sum of its
 // chains only. Copy/gather requests were admitted at their full solo price
@@ -38,17 +35,14 @@
 #include <vector>
 
 #include "common/flops.hpp"
-#include "common/precision.hpp"
 #include "serve/admission.hpp"
 
 namespace tucker::serve {
 
 /// Fusion key of a reconstruction request: requests may fuse only when
-/// both the model and the accumulation width agree. Model ids start at 1,
-/// so key 0 is free for never-fusable work (compress requests).
-inline std::uint64_t fuse_key(std::uint64_t model, Accum accum) {
-  return (model << 1) | (accum == Accum::kWide ? 1u : 0u);
-}
+/// they read the same model. Model ids start at 1, so key 0 is free for
+/// never-fusable work (compress requests).
+inline std::uint64_t fuse_key(std::uint64_t model) { return model; }
 
 /// One request as the planner sees it: its demand box (full when lo is
 /// empty), its response element count, and the cost admission charged at
@@ -100,8 +94,8 @@ inline bool same_box(const PlanItem& a, const PlanItem& b) {
 /// scatter-byte pricing of copies/gathers. The plan's vectors are reused
 /// across calls (grow-only), so a worker stashing one FusedPlan plans
 /// every batch allocation-free after warm-up.
-inline void plan_batch(const std::vector<PlanItem>& items, Accum accum,
-                       std::size_t word, FusedPlan& plan) {
+inline void plan_batch(const std::vector<PlanItem>& items, std::size_t word,
+                       FusedPlan& plan) {
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
   const std::size_t m = items.size();
   plan.clear();
@@ -120,8 +114,7 @@ inline void plan_batch(const std::vector<PlanItem>& items, Accum accum,
       if (detail::same_box(items[j], items[i])) dup = j;
     if (dup != npos) {
       plan.assign[i] = {FusedPlan::Source::kCopy, dup};
-    } else if (!items[i].full() && accum == Accum::kNative &&
-               full_chain != npos) {
+    } else if (!items[i].full() && full_chain != npos) {
       plan.assign[i] = {FusedPlan::Source::kGather, full_chain};
     } else {
       plan.assign[i] = {FusedPlan::Source::kChain, plan.chain_tasks.size()};

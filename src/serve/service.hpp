@@ -22,8 +22,8 @@
 // cached panels -- no SVD, no pack_a, no steady-state allocation.
 //
 // Cross-request batching (DESIGN.md Sec 15): with batch_max > 1 a worker
-// drains up to batch_max queued reconstructions of one (model, accum)
-// fusion key as a single fused job -- per-tenant round-robin across keys,
+// drains up to batch_max queued reconstructions of one model's fusion key
+// as a single fused job -- per-tenant round-robin across keys,
 // FIFO within a key (BoundedQueue::pop_group). The batch planner
 // (serve/batch.hpp) dedups identical demand boxes, answers region
 // requests out of a fused full reconstruction where bitwise-safe, and
@@ -108,7 +108,6 @@ struct ReconstructRequest {
   /// reconstruction (the prepacked fast path -- regions take the plain
   /// reconstruct_region route since their row slices defeat the panel).
   std::vector<index_t> lo, hi;
-  Accum accum = Accum::kNative;
   /// Optional client-owned response buffer: the worker reconstructs
   /// directly into *out and the response's tensor stays empty. Tensors
   /// grow but never shrink, so a client cycling the same buffer makes its
@@ -313,7 +312,7 @@ class Service {
     } else {
       task->cost = sm->cost;
     }
-    task->batch_key = fuse_key(req.model, req.accum);
+    task->batch_key = fuse_key(req.model);
     task->fusable = valid;
     task->rreq = std::move(req);
     auto fut = task->rpromise.get_future();
@@ -409,8 +408,7 @@ class Service {
         tensor::Tensor<T>* dst =
             task.rreq.out ? task.rreq.out.get() : &resp.tensor;
         if (task.rreq.lo.empty()) {
-          core::reconstruct_into(sm->model, *dst, &sm->packs,
-                                 task.rreq.accum);
+          core::reconstruct_into(sm->model, *dst, &sm->packs);
         } else {
           *dst = sm->model.reconstruct_region(task.rreq.lo, task.rreq.hi);
         }
@@ -430,7 +428,7 @@ class Service {
   }
 
   // A fused group: every task is a reconstruction against the same
-  // (model, accum) fusion key -- pop_group only groups equal keys, and
+  // model's fusion key -- pop_group only groups equal keys, and
   // every box was validated at submit (fusable). Plans the batch, refunds
   // the marginal-pricing difference, runs the fused chains, materializes
   // gathers/copies, then fulfills promises in task order. Any failure
@@ -447,7 +445,6 @@ class Service {
       auto sm = models_.find(group[0]->rreq.model);
       TUCKER_CHECK(sm != nullptr,
                    "serve: model unregistered while request in flight");
-      const Accum accum = group[0]->rreq.accum;
       const double full_elems =
           static_cast<double>(tensor::num_elements(sm->model.full_dims()));
 
@@ -471,7 +468,7 @@ class Service {
         }
         items.push_back(it);
       }
-      plan_batch(items, accum, sizeof(T), plan);
+      plan_batch(items, sizeof(T), plan);
 
       // Refund the marginal-pricing difference the moment the plan is
       // fixed: a copy/gather request keeps only its scatter bytes, so its
@@ -496,7 +493,7 @@ class Service {
         boxes.push_back(std::move(b));
         outs.push_back(dst(c));
       }
-      core::reconstruct_batch_into(sm->model, boxes, outs, &sm->packs, accum);
+      core::reconstruct_batch_into(sm->model, boxes, outs, &sm->packs);
       for (std::size_t i = 0; i < m; ++i)
         if (plan.assign[i].src == FusedPlan::Source::kGather)
           core::gather_region_into(*dst(plan.assign[i].ref),

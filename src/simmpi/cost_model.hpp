@@ -35,14 +35,8 @@ struct CostModel {
   }
 
   /// Modeled compute cost of `flops` floating-point operations.
-  /// `fp32_native` doubles the modeled rate: fp32 storage with fp32 (or
-  /// fp64-register) accumulation moves half the bytes and packs twice the
-  /// lanes per SIMD op, which is the same 2x the beta term already grants
-  /// single-precision messages. Wide *memory* accumulation is charged at
-  /// the fp64 rate by passing fp32_native = false.
-  double flop_cost(std::int64_t flops, bool fp32_native = false) const {
-    const double rate = fp32_native ? 2.0 * flop_rate : flop_rate;
-    return static_cast<double>(flops) / rate;
+  double flop_cost(std::int64_t flops) const {
+    return static_cast<double>(flops) / flop_rate;
   }
 
   /// Modeled cost of the runtime's allreduce (binomial reduce + binomial

@@ -29,7 +29,6 @@
 // Sec 11 gives the argument).
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "blas/blas1.hpp"
@@ -38,7 +37,6 @@
 #include "lapack/qr.hpp"
 #include "lapack/tpqrt.hpp"
 #include "tensor/tensor.hpp"
-#include "tensor/tensor_lq.hpp"
 
 namespace tucker::stream {
 
@@ -166,14 +164,13 @@ class TsqrAccumulator {
 };
 
 /// Default slab byte budget, 256 MiB: the slab size of stream_sthosvd
-/// (StreamOptions::chunk_bytes) and the chunk size of the in-memory
-/// kStream engine. Unlike a cache block it moves results (the merge-tree
-/// cut points), but only within the QR-SVD accuracy rung (DESIGN.md
-/// Sec 11).
+/// (StreamOptions::chunk_bytes). Unlike a cache block it moves results
+/// (the merge-tree cut points), but only within the QR-SVD accuracy rung
+/// (DESIGN.md Sec 11).
 inline constexpr std::size_t kDefaultChunkBytes = std::size_t{256} << 20;
 
-/// Trailing-mode slices per chunk for a resident tensor under a byte
-/// budget: how many last-mode slices fit in `budget_bytes` (at least 1).
+/// Trailing-mode slices per slab under a byte budget: how many last-mode
+/// slices of a tensor with these dims fit in `budget_bytes` (at least 1).
 template <class T>
 index_t chunk_slices_for_budget(const tensor::Dims& dims,
                                 std::size_t budget_bytes) {
@@ -185,40 +182,6 @@ index_t chunk_slices_for_budget(const tensor::Dims& dims,
   if (slice_bytes == 0) return last;
   const auto fit = static_cast<index_t>(budget_bytes / slice_bytes);
   return std::clamp<index_t>(fit, 1, last);
-}
-
-/// Merged L factor of the mode-n unfolding of a *resident* tensor,
-/// computed hierarchically over trailing-mode chunks of `chunk_slices`
-/// slices each -- the in-memory face of the streaming engine. A single
-/// chunk reduces to tensor_lq(y, n) exactly (same code path), which is
-/// what makes the single-chunk == QR-SVD bitwise test possible. The slab
-/// axis itself (n == N-1) is never column-split, so it falls through to
-/// the direct factorization.
-template <class T>
-Matrix<T> chunked_unfolding_lq(const tensor::Tensor<T>& y, std::size_t n,
-                               index_t chunk_slices) {
-  TUCKER_CHECK(n < y.order(), "chunked_unfolding_lq: mode out of range");
-  const std::size_t t = y.order() - 1;
-  const index_t last = y.dim(t);
-  TUCKER_CHECK(chunk_slices > 0,
-               "chunked_unfolding_lq: chunk_slices must be positive");
-  if (n == t || chunk_slices >= last) return tensor::tensor_lq(y, n);
-
-  const index_t m = y.dim(n);
-  const index_t slice_elems = last == 0 ? 0 : y.size() / last;
-  TriangleReducer<T> red(m);
-  tensor::Tensor<T> slab;
-  tensor::Dims sdims = y.dims();
-  for (index_t begin = 0; begin < last; begin += chunk_slices) {
-    const index_t ext = std::min(chunk_slices, last - begin);
-    sdims[t] = ext;
-    slab.reshape(sdims);
-    std::memcpy(slab.data(), y.data() + begin * slice_elems,
-                static_cast<std::size_t>(ext * slice_elems) * sizeof(T));
-    Matrix<T> l = tensor::tensor_lq(slab, n);
-    red.push(blas::MatView<const T>(l.view()));
-  }
-  return red.reduce();
 }
 
 }  // namespace tucker::stream

@@ -59,6 +59,7 @@
 #include "stream/hier_svd.hpp"
 #include "stream/unfolding_source.hpp"
 #include "tensor/gram.hpp"
+#include "tensor/tensor_lq.hpp"
 #include "tensor/ttm.hpp"
 
 namespace tucker::stream {
@@ -202,12 +203,6 @@ tensor::Tensor<T> gather(UnfoldingSource<T>& src) {
   return x;
 }
 
-/// On resident data the hierarchical engine is single-chunk, i.e. exactly
-/// QR-SVD; dispatching kStream to kQr keeps that contract bitwise.
-inline core::SvdMethod resident_method(core::SvdMethod m) {
-  return m == core::SvdMethod::kStream ? core::SvdMethod::kQr : m;
-}
-
 /// x projected through ms[n] on every mode n < ms.size() (each ms[n] is
 /// rows_out x x.dim(n)), via the usual ping-pong TTM chain.
 template <class T>
@@ -251,14 +246,15 @@ struct StreamSthosvdResult {
 
 /// Out-of-core ST-HOSVD over an UnfoldingSource. Modes are processed in
 /// forward order (the slab axis must come last while out of core; see the
-/// header comment). Accuracy: kQr/kStream stay on the eps*||A|| rung of
+/// header comment). Accuracy: kQr stays on the eps*||A|| rung of
 /// Theorem 1 (merge depth adds a log factor to the constant); kGram keeps
 /// its sqrt(eps) floor; kRand discards at most the per-chunk energy budget
 /// eps^2 ||slab||^2 / N per chunk, which sums to the global budget.
+/// kStream runs as kQr.
 template <class T>
 StreamSthosvdResult<T> stream_sthosvd(
     UnfoldingSource<T>& src, const core::TruncationSpec& spec,
-    core::SvdMethod method = core::SvdMethod::kStream,
+    core::SvdMethod method = core::SvdMethod::kQr,
     const StreamOptions& opt = {}) {
   const std::size_t nmodes = src.dims().size();
   TUCKER_CHECK(nmodes >= 2, "stream_sthosvd: need at least two modes");
@@ -275,12 +271,11 @@ StreamSthosvdResult<T> stream_sthosvd(
 
   // Fits from the start: gather once and delegate. This is the bitwise
   // bridge to the in-memory driver (same tensor, same threshold, same
-  // kernels; kStream runs as its single-chunk self, QR-SVD).
+  // kernels).
   if (src.total_bytes() <= budget || src.num_slabs() <= 1) {
     tensor::Tensor<T> x = detail::gather(src);
     out.slabs_read = src.num_slabs();
-    res = core::sthosvd(x, spec, detail::resident_method(method), {},
-                        opt.rand);
+    res = core::sthosvd(x, spec, method, {}, opt.rand);
     out.gathered_after = 0;
     out.arena_high_water = ws.high_water();
     return out;
@@ -331,8 +326,8 @@ StreamSthosvdResult<T> stream_sthosvd(
       // sthosvd's own mode step, with the threshold derived from the
       // slab-accumulated ||X||^2 (not recomputed from the shrunken data).
       tensor::Tensor<T> next;
-      core::sthosvd_mode(resident, n, spec, detail::resident_method(method),
-                         threshold_sq, opt.rand, Accum::kNative, res, next);
+      core::sthosvd_mode(resident, n, spec, method, threshold_sq, opt.rand,
+                         res, next);
       resident = std::move(next);
       continue;
     }
@@ -450,7 +445,7 @@ StreamSthosvdResult<T> stream_sthosvd(
         svd = core::svd_of_l(red.reduce(), core::SmallSvdBackend::kAuto);
         // Trailing residual pseudo-entry, as rand_svd itself reports.
         svd.sigma_sq.push_back(static_cast<T>(resid_total));
-      } else {  // kQr / kStream: per-slab LQ, binary merge tree
+      } else {  // kQr (and kStream): per-slab LQ, binary merge tree
         TriangleReducer<T> red(m);
         for (index_t s = 0; s < pipe.total(); ++s) {
           tensor::Tensor<T>& slab = pipe.next();
@@ -508,7 +503,7 @@ StreamSthosvdResult<T> stream_sthosvd(
 template <class T>
 StreamSthosvdResult<T> stream_sthosvd_file(
     const std::string& path, const core::TruncationSpec& spec,
-    core::SvdMethod method = core::SvdMethod::kStream,
+    core::SvdMethod method = core::SvdMethod::kQr,
     const StreamOptions& opt = {}) {
   FileSource<T> src(path);
   return stream_sthosvd(src, spec, method, opt);

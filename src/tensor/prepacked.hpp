@@ -27,7 +27,6 @@
 #include "blas/gemm.hpp"
 #include "blas/matrix.hpp"
 #include "common/check.hpp"
-#include "common/precision.hpp"
 #include "tensor/ttm.hpp"
 
 namespace tucker::tensor {
@@ -76,8 +75,8 @@ class PrepackedFactor {
 /// one staged factor: the multi-RHS kernel of the batched serving path.
 /// The X_i may differ in every dimension except mode n (region chains
 /// fused with full chains); each Y_i is reshaped in place like ttm_into.
-/// Bitwise identical, per item, to ttm_into(*xs[i], n, pf.plain(), *ys[i],
-/// accum) at every thread width and for every batch composition -- the
+/// Bitwise identical, per item, to ttm_into(*xs[i], n, pf.plain(), *ys[i])
+/// at every thread width and for every batch composition -- the
 /// fused sweep only re-partitions work units, never per-element
 /// accumulation chains. Shapes the cached panel cannot serve (mode 0, no
 /// panel) fall back to ttm_into per item. A span of one item allocates
@@ -86,14 +85,13 @@ template <class T>
 void ttm_packed_multi_into(
     std::type_identity_t<std::span<const Tensor<T>* const>> xs, std::size_t n,
     const PrepackedFactor<T>& pf,
-    std::type_identity_t<std::span<Tensor<T>* const>> ys,
-    Accum accum = Accum::kNative) {
+    std::type_identity_t<std::span<Tensor<T>* const>> ys) {
   TUCKER_CHECK(pf.staged(), "ttm_packed_multi_into: factor not staged");
   TUCKER_CHECK(xs.size() == ys.size(),
                "ttm_packed_multi_into: xs/ys size mismatch");
   if (n == 0 || pf.panel() == nullptr) {
     for (std::size_t i = 0; i < xs.size(); ++i)
-      ttm_into(*xs[i], n, pf.plain(), *ys[i], accum);
+      ttm_into(*xs[i], n, pf.plain(), *ys[i]);
     return;
   }
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -103,27 +101,21 @@ void ttm_packed_multi_into(
                  "ttm_packed_multi_into: x and y must be distinct");
     ys[i]->reshape_mode_of(*xs[i], n, pf.rows());
   }
-  if (accum == Accum::kWide) {
-    detail::ttm_tall_from_panel_multi<T, wide_t<T>>(xs, n, pf.panel(),
-                                                    pf.rows(), pf.cols(), ys);
-  } else {
-    detail::ttm_tall_from_panel_multi<T, T>(xs, n, pf.panel(), pf.rows(),
-                                            pf.cols(), ys);
-  }
+  detail::ttm_tall_from_panel_multi<T>(xs, n, pf.panel(), pf.rows(),
+                                       pf.cols(), ys);
 }
 
 /// Y = X x_n U from a factor staged in a PrepackedFactor: the one-item
 /// ttm_packed_multi_into. Bitwise identical to ttm_into(x, n, pf.plain(),
-/// y, accum) at every thread width; when the cached panel applies (mode
-/// n >= 1, tall factor) the per-call pack_a is skipped -- the entire point
-/// of the cache.
+/// y) at every thread width; when the cached panel applies (mode n >= 1,
+/// tall factor) the per-call pack_a is skipped -- the entire point of the
+/// cache.
 template <class T>
 void ttm_prepacked_into(const Tensor<T>& x, std::size_t n,
-                        const PrepackedFactor<T>& pf, Tensor<T>& y,
-                        Accum accum = Accum::kNative) {
+                        const PrepackedFactor<T>& pf, Tensor<T>& y) {
   const Tensor<T>* xp = &x;
   Tensor<T>* yp = &y;
-  ttm_packed_multi_into<T>({&xp, 1}, n, pf, {&yp, 1}, accum);
+  ttm_packed_multi_into<T>({&xp, 1}, n, pf, {&yp, 1});
 }
 
 }  // namespace tucker::tensor

@@ -77,8 +77,7 @@ void for_each_unfolding_panel(const Tensor<T>& t, std::size_t n, F&& f) {
 template <class T, class ColMap>
 void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
                            std::uint64_t stream, index_t jlo, index_t jhi,
-                           ColMap&& global_col, blas::MatView<T> s,
-                           Accum accum = Accum::kNative) {
+                           ColMap&& global_col, blas::MatView<T> s) {
   const index_t m = t.dim(n);
   const index_t wnew = jhi - jlo;
   TUCKER_CHECK(s.rows() == m && s.cols() == wnew,
@@ -102,12 +101,7 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
             hash_normal(stream, c, static_cast<std::uint64_t>(jlo + j)));
       }
     }
-    if (accum == Accum::kWide) {
-      blas::gemm<T, wide_t<T>>(T(1), panel, blas::MatView<const T>(om), T(1),
-                               s);
-    } else {
-      blas::gemm(T(1), panel, blas::MatView<const T>(om), T(1), s);
-    }
+    blas::gemm(T(1), panel, blas::MatView<const T>(om), T(1), s);
   });
 }
 
@@ -116,9 +110,9 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
 template <class T>
 void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
                            std::uint64_t stream, index_t jlo, index_t jhi,
-                           blas::MatView<T> s, Accum accum = Accum::kNative) {
-  sketch_unfolding_cols(t, n, stream, jlo, jhi,
-                        [](index_t c) { return c; }, s, accum);
+                           blas::MatView<T> s, Accum = Accum::kNative) {
+  sketch_unfolding_cols(t, n, stream, jlo, jhi, [](index_t c) { return c; },
+                        s);
 }
 
 /// One power-iteration multiply of the range finder: out = X_(n) X_(n)^T W,
@@ -127,8 +121,7 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
 template <class T>
 void unfolding_aat_multiply(const Tensor<T>& t, std::size_t n,
                             blas::MatView<const T> w_in,
-                            blas::MatView<T> out,
-                            Accum accum = Accum::kNative) {
+                            blas::MatView<T> out, Accum = Accum::kNative) {
   const index_t m = t.dim(n);
   const index_t w = w_in.cols();
   TUCKER_CHECK(w_in.rows() == m && out.rows() == m && out.cols() == w,
@@ -141,21 +134,11 @@ void unfolding_aat_multiply(const Tensor<T>& t, std::size_t n,
   auto z = blas::MatView<T>::row_major(
       ws.get<T>(static_cast<std::size_t>(detail::kSketchPanel * w)),
       detail::kSketchPanel, w);
-  auto run = [&]<class TA>(std::type_identity<TA>) {
-    for_each_unfolding_panel(
-        t, n, [&](blas::MatView<const T> panel, index_t) {
-          auto zp = z.block(0, 0, panel.cols(), w);
-          blas::gemm<T, TA>(T(1), blas::MatView<const T>(panel.t()), w_in,
-                            T(0), zp);
-          blas::gemm<T, TA>(T(1), panel, blas::MatView<const T>(zp), T(1),
-                            out);
-        });
-  };
-  if (accum == Accum::kWide) {
-    run(std::type_identity<wide_t<T>>{});
-  } else {
-    run(std::type_identity<T>{});
-  }
+  for_each_unfolding_panel(t, n, [&](blas::MatView<const T> panel, index_t) {
+    auto zp = z.block(0, 0, panel.cols(), w);
+    blas::gemm(T(1), blas::MatView<const T>(panel.t()), w_in, T(0), zp);
+    blas::gemm(T(1), panel, blas::MatView<const T>(zp), T(1), out);
+  });
 }
 
 /// Gram matrix of the projected unfolding: g = (Q^T X_(n)) (Q^T X_(n))^T,
@@ -166,7 +149,7 @@ void unfolding_aat_multiply(const Tensor<T>& t, std::size_t n,
 template <class T>
 void projected_gram(const Tensor<T>& t, std::size_t n,
                     blas::MatView<const T> q, blas::MatView<T> g,
-                    Accum accum = Accum::kNative) {
+                    Accum = Accum::kNative) {
   const index_t w = q.cols();
   TUCKER_CHECK(q.rows() == t.dim(n) && g.rows() == w && g.cols() == w,
                "projected_gram: shape mismatch");
@@ -178,20 +161,11 @@ void projected_gram(const Tensor<T>& t, std::size_t n,
   auto bp = blas::MatView<T>::row_major(
       ws.get<T>(static_cast<std::size_t>(w * detail::kSketchPanel)), w,
       detail::kSketchPanel);
-  auto run = [&]<class TA>(std::type_identity<TA>) {
-    for_each_unfolding_panel(
-        t, n, [&](blas::MatView<const T> panel, index_t) {
-          auto b = bp.block(0, 0, w, panel.cols());
-          blas::gemm<T, TA>(T(1), blas::MatView<const T>(q.t()), panel, T(0),
-                            b);
-          blas::syrk<T, TA>(T(1), blas::MatView<const T>(b), T(1), g);
-        });
-  };
-  if (accum == Accum::kWide) {
-    run(std::type_identity<wide_t<T>>{});
-  } else {
-    run(std::type_identity<T>{});
-  }
+  for_each_unfolding_panel(t, n, [&](blas::MatView<const T> panel, index_t) {
+    auto b = bp.block(0, 0, w, panel.cols());
+    blas::gemm(T(1), blas::MatView<const T>(q.t()), panel, T(0), b);
+    blas::syrk(T(1), blas::MatView<const T>(b), T(1), g);
+  });
 }
 
 }  // namespace tucker::tensor

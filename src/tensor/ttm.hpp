@@ -23,19 +23,8 @@
 // accumulates one `y += u * x` per k step in ascending k order in both, so
 // the kernel choice, blocking, thread count and ISA level never change the
 // bits (see DESIGN.md Sec 10).
-//
-// Wide accumulation (Accum::kWide on ttm_into): the packed engine's
-// kernels accumulate each output element in a single full-k wide_t<T>
-// chain (register accumulators for mode 0 / register tiles, or a per-chunk
-// TA slab for the streaming walk) and round to storage exactly once; the
-// reference path inherits gemm's per-k-block spill. The two therefore
-// agree bitwise whenever the contracted dimension fits one gemm k block
-// (k <= blas::detail::kGemmKB) -- the truncation TTMs the drivers issue --
-// and differ only in spill roundings beyond that. Each individually
-// remains bitwise thread/level/partition-invariant at any k.
 
 #include <span>
-#include <type_traits>
 
 #include "blas/gemm.hpp"
 #include "common/precision.hpp"
@@ -52,7 +41,7 @@ using blas::detail::kTtmAxpyMaxR;
 /// Reference TTM, the oracle: one gemm per unfolding block (U re-packed per
 /// block by gemm), transposed gemm for mode 0. y is reshaped in place like
 /// ttm_into's; x and y must not alias.
-template <class T, class TA = T>
+template <class T>
 void ttm_reference_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
                         Tensor<T>& y) {
   y.reshape_mode_of(x, n, u.rows());
@@ -73,10 +62,10 @@ void ttm_reference_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
       T* tmp = ws.get<T>(static_cast<std::size_t>(k * r));
       for (index_t i = 0; i < k; ++i)
         for (index_t j = 0; j < r; ++j) tmp[i * r + j] = ut(i, j);
-      blas::gemm<T, TA>(T(1), MatView<const T>(xv.t()),
-                        MatView<const T>::row_major(tmp, k, r), T(0), yv.t());
+      blas::gemm(T(1), MatView<const T>(xv.t()),
+                 MatView<const T>::row_major(tmp, k, r), T(0), yv.t());
     } else {
-      blas::gemm<T, TA>(T(1), MatView<const T>(xv.t()), ut, T(0), yv.t());
+      blas::gemm(T(1), MatView<const T>(xv.t()), ut, T(0), yv.t());
     }
   } else {
     // Each unfolding block is an independent gemm writing a disjoint slab
@@ -88,7 +77,7 @@ void ttm_reference_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
       for (index_t j = lo; j < hi; ++j) {
         auto xb = unfolding_block(x, n, j);
         auto yb = unfolding_block(y, n, j);
-        blas::gemm<T, TA>(T(1), u, xb, T(0), yb);
+        blas::gemm(T(1), u, xb, T(0), yb);
       }
     };
     // The width > 1 test also keeps the serial path allocation-free:
@@ -147,7 +136,7 @@ index_t ttm_row_chunk(index_t r) {
 /// (serve's per-model factor cache). Unit lookup is an O(batch) scan on
 /// purpose: no arena scratch, so a fused job leaves the same Workspace
 /// watermark as the solo requests it replaces.
-template <class T, class TA = T>
+template <class T>
 void ttm_tall_from_panel_multi(std::span<const Tensor<T>* const> xs,
                                std::size_t n, const T* apack, index_t r,
                                index_t k, std::span<Tensor<T>* const> ys) {
@@ -165,7 +154,7 @@ void ttm_tall_from_panel_multi(std::span<const Tensor<T>* const> xs,
                            index_t j1) {
     auto xb = unfolding_block(*xs[item], n, blk);
     auto yb = unfolding_block(*ys[item], n, blk);
-    blas::detail::gemm_prepacked_a<T, TA>(
+    blas::detail::gemm_prepacked_a(
         apack, r, k, MatView<const T>(xb.block(0, j0, k, j1 - j0)),
         yb.block(0, j0, r, j1 - j0));
   };
@@ -213,11 +202,8 @@ void ttm_tall_from_panel_multi(std::span<const Tensor<T>* const> xs,
 /// Packed engine. The factor is staged in the caller's arena frame before
 /// any fanout; workers only read the staged panel and take their own
 /// B-pack scratch from their own Workspace::local() (ownership rules of
-/// DESIGN.md Sec 8). With TA wider than T, the mode-0 kernel accumulates
-/// its fibers in TA registers and the short-fat path accumulates into a
-/// per-chunk TA slab, so every Y element is a single full-k wide chain
-/// rounded to storage once.
-template <class T, class TA = T>
+/// DESIGN.md Sec 8).
+template <class T>
 void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
                      Tensor<T>& y) {
   using blas::detail::kMicroMR;
@@ -225,7 +211,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   const index_t r = u.rows();  // output mode size
   const index_t k = u.cols();  // contracted mode size
   const index_t width = parallel::this_thread_width();
-  const auto mk = blas::detail::micro_kernels<T, TA>();
+  const auto mk = blas::detail::micro_kernels<T>();
   Workspace& ws = Workspace::local();
   auto scratch = ws.frame();
 
@@ -237,7 +223,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
       // Tall factor (reconstruction direction), or a staged U^T panel that
       // would spill L1: the dot kernel re-reads the panel per fiber, so
       // once it stops being L1-resident the register-tile gemm wins.
-      ttm_reference_into<T, TA>(x, 0, u, y);
+      ttm_reference_into(x, 0, u, y);
       return;
     }
     // Stage U^T as k x ldut row-major, zero-padded to a whole number of
@@ -288,31 +274,9 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
     auto run_block_cols = [&](index_t blk, index_t j0, index_t j1) {
       const T* xb = x.data() + blk * k * before;
       T* yb = y.data() + blk * r * before;
-      if constexpr (std::is_same_v<T, TA>) {
-        for (index_t c0 = j0; c0 < j1; c0 += chunk)
-          walk(r, k, upack, xb, before, yb, before, c0,
-               std::min(c0 + chunk, j1));
-      } else {
-        // Wide accumulation: the kernels' C argument is the accumulator, so
-        // aim them at a chunk-sized TA slab (from the *calling* thread's
-        // arena -- run_block_cols may execute on a worker) and round each
-        // element to storage exactly once on the copy-out. The slab is
-        // column range [c0, c0+len) relabeled to start at 0, which leaves
-        // every per-element chain identical to the native walk.
-        Workspace& wws = Workspace::local();
-        auto wide_scratch = wws.frame();
-        TA* slab = wws.get<TA>(static_cast<std::size_t>(r * chunk));
-        for (index_t c0 = j0; c0 < j1; c0 += chunk) {
-          const index_t len = std::min(c0 + chunk, j1) - c0;
-          walk(r, k, upack, xb + c0, before, slab, len, index_t{0}, len);
-          for (index_t rr = 0; rr < r; ++rr) {
-            const TA* srow = slab + rr * len;
-            T* yrow = yb + rr * before + c0;
-            for (index_t j = 0; j < len; ++j)
-              yrow[j] = static_cast<T>(srow[j]);
-          }
-        }
-      }
+      for (index_t c0 = j0; c0 < j1; c0 += chunk)
+        walk(r, k, upack, xb, before, yb, before, c0,
+             std::min(c0 + chunk, j1));
     };
     if (fan_out && nblocks >= 2 * width) {
       parallel::parallel_for(0, nblocks, 1, [&](index_t lo, index_t hi) {
@@ -344,7 +308,7 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   blas::detail::pack_a(u, 0, r, 0, k, T(1), apack);
   const Tensor<T>* xp = &x;
   Tensor<T>* yp = &y;
-  ttm_tall_from_panel_multi<T, TA>({&xp, 1}, n, apack, r, k, {&yp, 1});
+  ttm_tall_from_panel_multi<T>({&xp, 1}, n, apack, r, k, {&yp, 1});
 }
 
 }  // namespace detail
@@ -354,27 +318,21 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
 /// calls does no heap allocation after warm-up. x and y must not alias.
 template <class T>
 void ttm_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
-              Tensor<T>& y, Accum accum = Accum::kNative) {
+              Tensor<T>& y, Accum = Accum::kNative) {
   TUCKER_CHECK(n < x.order(), "ttm: mode out of range");
   TUCKER_CHECK(u.cols() == x.dim(n), "ttm: inner dimension mismatch");
   TUCKER_CHECK(&x != &y, "ttm_into: x and y must be distinct tensors");
   y.reshape_mode_of(x, n, u.rows());
   if (y.size() == 0 || x.size() == 0) return;
-
-  if (accum == Accum::kWide) {
-    detail::ttm_packed_into<T, wide_t<T>>(x, n, u, y);
-  } else {
-    detail::ttm_packed_into<T, T>(x, n, u, y);
-  }
+  detail::ttm_packed_into(x, n, u, y);
 }
 
 /// Y = X x_n U where U is (R x I_n); Y has dims of X with mode n replaced
 /// by R. To truncate with a factor matrix F (I_n x R), pass F^T via a view.
 template <class T>
-Tensor<T> ttm(const Tensor<T>& x, std::size_t n, MatView<const T> u,
-              Accum accum = Accum::kNative) {
+Tensor<T> ttm(const Tensor<T>& x, std::size_t n, MatView<const T> u) {
   Tensor<T> y;
-  ttm_into(x, n, u, y, accum);
+  ttm_into(x, n, u, y);
   return y;
 }
 

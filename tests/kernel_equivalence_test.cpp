@@ -677,7 +677,6 @@ std::vector<unsigned char> tucker_bytes(
 // configurations, one par_sthosvd on a 2 x 2 simmpi grid, one served
 // reconstruct and one served compress.
 std::vector<std::vector<unsigned char>> full_results_at_current_level() {
-  using tucker::Accum;
   using tucker::core::SvdMethod;
   using tucker::core::TruncationSpec;
   using tucker::tensor::Tensor;
@@ -693,9 +692,8 @@ std::vector<std::vector<unsigned char>> full_results_at_current_level() {
       tucker_bytes(tucker::core::sthosvd(x64, spec, SvdMethod::kGram).tucker));
   out.push_back(
       tucker_bytes(tucker::core::sthosvd(x32, spec, SvdMethod::kRand).tucker));
-  out.push_back(tucker_bytes(tucker::core::sthosvd(x32, spec, SvdMethod::kGram,
-                                                   {}, {}, Accum::kWide)
-                                 .tucker));
+  out.push_back(
+      tucker_bytes(tucker::core::sthosvd(x32, spec, SvdMethod::kGram).tucker));
 
   std::vector<unsigned char> par;
   tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {

@@ -3,13 +3,13 @@
 //    within a key, round-robins across keys, and pops non-fusable items
 //    alone;
 //  - plan_batch dedups identical boxes, gathers regions out of a full
-//    chain only in native-accumulation groups, and reprices non-chain
-//    requests at their marginal (scatter-bytes-only) cost;
+//    chain, and reprices non-chain requests at their marginal
+//    (scatter-bytes-only) cost;
 //  - gather_region_into out of a full reconstruction is bitwise identical
 //    to reconstruct_region (the fusion eligibility rule's foundation);
 //  - ttm_packed_multi_into and reconstruct_batch_into are bitwise
 //    identical to their per-request counterparts at widths {1, 2, 7} and
-//    for mixed batch compositions, native and wide;
+//    for mixed batch compositions, in double and single;
 //  - through the service, every response is bitwise identical across
 //    batch sizes {1, 2, max}, worker counts, linger windows, and mixed
 //    region/full/duplicate bursts; mixed-model queues never fuse;
@@ -175,7 +175,7 @@ serve::PlanItem item(const std::vector<index_t>* lo,
 TEST(PlanBatch, DedupsIdenticalFullBoxes) {
   std::vector<serve::PlanItem> items(3, item(nullptr, nullptr, 1000, 500));
   serve::FusedPlan plan;
-  serve::plan_batch(items, Accum::kNative, 8, plan);
+  serve::plan_batch(items, 8, plan);
   ASSERT_EQ(plan.chain_tasks.size(), 1u);
   EXPECT_EQ(plan.chain_tasks[0], 0u);
   EXPECT_EQ(plan.assign[1].src, serve::FusedPlan::Source::kCopy);
@@ -189,23 +189,16 @@ TEST(PlanBatch, DedupsIdenticalFullBoxes) {
                    static_cast<double>(flops::scatter_bytes(1000, 8)));
 }
 
-TEST(PlanBatch, RegionGathersFromFullChainOnlyInNativeGroups) {
+TEST(PlanBatch, RegionGathersFromFullChain) {
   const std::vector<index_t> lo{1, 2, 3}, hi{4, 5, 6};
   std::vector<serve::PlanItem> items{item(&lo, &hi, 27, 100),
                                      item(nullptr, nullptr, 1000, 500)};
   serve::FusedPlan plan;
-  serve::plan_batch(items, Accum::kNative, 8, plan);
+  serve::plan_batch(items, 8, plan);
   EXPECT_EQ(plan.assign[0].src, serve::FusedPlan::Source::kGather);
   EXPECT_EQ(plan.assign[0].ref, 1u);  // gathers from the full chain
   EXPECT_EQ(plan.assign[1].src, serve::FusedPlan::Source::kChain);
   EXPECT_DOUBLE_EQ(plan.flops_saved, 100.0);
-
-  // Wide group: the unbatched region path accumulates natively, so its
-  // bits need not match a wide full chain -- the region keeps its chain.
-  serve::plan_batch(items, Accum::kWide, 8, plan);
-  EXPECT_EQ(plan.assign[0].src, serve::FusedPlan::Source::kChain);
-  EXPECT_EQ(plan.assign[1].src, serve::FusedPlan::Source::kChain);
-  EXPECT_DOUBLE_EQ(plan.flops_saved, 0.0);
 }
 
 TEST(PlanBatch, DistinctRegionsChainAndDuplicateRegionsCopy) {
@@ -215,7 +208,7 @@ TEST(PlanBatch, DistinctRegionsChainAndDuplicateRegionsCopy) {
                                      item(&lo1, &hi1, 8, 10),
                                      item(&lo2, &hi2, 8, 10)};
   serve::FusedPlan plan;
-  serve::plan_batch(items, Accum::kNative, 8, plan);
+  serve::plan_batch(items, 8, plan);
   ASSERT_EQ(plan.chain_tasks.size(), 2u);
   EXPECT_EQ(plan.assign[0].src, serve::FusedPlan::Source::kChain);
   EXPECT_EQ(plan.assign[1].src, serve::FusedPlan::Source::kCopy);
@@ -223,14 +216,10 @@ TEST(PlanBatch, DistinctRegionsChainAndDuplicateRegionsCopy) {
   EXPECT_EQ(plan.assign[2].src, serve::FusedPlan::Source::kChain);
 }
 
-TEST(PlanBatch, FuseKeySeparatesModelAndAccum) {
-  EXPECT_NE(serve::fuse_key(1, Accum::kNative),
-            serve::fuse_key(1, Accum::kWide));
-  EXPECT_NE(serve::fuse_key(1, Accum::kNative),
-            serve::fuse_key(2, Accum::kNative));
-  EXPECT_NE(serve::fuse_key(1, Accum::kWide), serve::fuse_key(2, Accum::kWide));
+TEST(PlanBatch, FuseKeySeparatesModels) {
+  EXPECT_NE(serve::fuse_key(1), serve::fuse_key(2));
   // Key 0 stays reserved for never-fusable work (model ids start at 1).
-  EXPECT_NE(serve::fuse_key(1, Accum::kNative), 0u);
+  EXPECT_NE(serve::fuse_key(1), 0u);
 }
 
 // -------------------------------------------------------------- kernels --
@@ -267,26 +256,24 @@ TEST(TtmPackedMulti, BitwiseMatchesSoloAcrossWidths) {
   for (std::size_t i = 0; i < shapes.size(); ++i)
     xs.push_back(data::random_tensor<double>(shapes[i], 0xC0DE + i));
 
-  for (Accum accum : {Accum::kNative, Accum::kWide}) {
-    parallel::set_max_threads(1);
-    std::vector<Tensor<double>> solo(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
-      tensor::ttm_prepacked_into(xs[i], 1, pf, solo[i], accum);
-    for (int width : {1, 2, 7}) {
-      parallel::set_max_threads(width);
-      std::vector<Tensor<double>> multi(xs.size());
-      std::vector<const Tensor<double>*> xp;
-      std::vector<Tensor<double>*> yp;
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        xp.push_back(&xs[i]);
-        yp.push_back(&multi[i]);
-      }
-      tensor::ttm_packed_multi_into(xp, 1, pf, yp, accum);
-      for (std::size_t i = 0; i < xs.size(); ++i)
-        expect_bitwise(multi[i], solo[i],
-                       "multi vs solo, width " + std::to_string(width) +
-                           " item " + std::to_string(i));
+  parallel::set_max_threads(1);
+  std::vector<Tensor<double>> solo(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    tensor::ttm_prepacked_into(xs[i], 1, pf, solo[i]);
+  for (int width : {1, 2, 7}) {
+    parallel::set_max_threads(width);
+    std::vector<Tensor<double>> multi(xs.size());
+    std::vector<const Tensor<double>*> xp;
+    std::vector<Tensor<double>*> yp;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      xp.push_back(&xs[i]);
+      yp.push_back(&multi[i]);
     }
+    tensor::ttm_packed_multi_into(xp, 1, pf, yp);
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      expect_bitwise(multi[i], solo[i],
+                     "multi vs solo, width " + std::to_string(width) +
+                         " item " + std::to_string(i));
   }
 }
 
@@ -320,31 +307,30 @@ TEST(ReconstructBatch, BitwiseMatchesSoloPathsAcrossWidths) {
   }
 }
 
-// Wide fused jobs run full-box chains wide and region chains native; each
-// must match its own solo path (float storage so wide actually differs).
-TEST(ReconstructBatch, WideGroupMatchesWideFullAndNativeRegion) {
+// The same contract in single precision: the full chain and the region
+// chain of one fused float job each match their solo path.
+TEST(ReconstructBatch, FloatGroupMatchesSoloFullAndRegion) {
   auto model = make_model<float>(kDims, kRanks, 0xE4);
   const auto packs = core::prepack_factors(model);
   const std::vector<index_t> lo{1, 4, 2}, hi{9, 30, 10};
 
   Tensor<float> ref_full;
-  core::reconstruct_into(model, ref_full, &packs, Accum::kWide);
+  core::reconstruct_into(model, ref_full, &packs);
   const auto ref_region = model.reconstruct_region(lo, hi);
 
   std::vector<core::DemandBox> boxes(2);
   boxes[1] = {lo, hi};
   std::vector<Tensor<float>> out(2);
-  core::reconstruct_batch_into(model, boxes, {&out[0], &out[1]}, &packs,
-                               Accum::kWide);
-  expect_bitwise(out[0], ref_full, "wide batched full");
-  expect_bitwise(out[1], ref_region, "region inside wide batch runs native");
+  core::reconstruct_batch_into(model, boxes, {&out[0], &out[1]}, &packs);
+  expect_bitwise(out[0], ref_full, "float batched full");
+  expect_bitwise(out[1], ref_region, "float batched region");
 }
 
 // -------------------------------------------------------------- service --
 
 /// Enqueues the canonical mixed burst (duplicate fulls, duplicate regions,
-/// a distinct region, a wide full, a wide region) against one model with
-/// the queue frozen, then starts, drains, and fingerprints each response.
+/// two distinct regions, a third full) against one model with the queue
+/// frozen, then starts, drains, and fingerprints each response.
 std::vector<std::vector<unsigned char>> run_burst(
     const core::TuckerTensor<double>& model, std::size_t batch_max,
     int workers, long wait_us) {
@@ -357,28 +343,26 @@ std::vector<std::vector<unsigned char>> run_burst(
   serve::Service<double> svc(opt);
   const auto id = svc.register_model(model);
   std::vector<std::future<serve::ReconstructResponse<double>>> fs;
-  auto full = [&](Accum a) {
+  auto full = [&] {
     serve::ReconstructRequest<double> r;
     r.model = id;
-    r.accum = a;
     fs.push_back(*svc.try_submit(r));
   };
   auto region = [&](const std::vector<index_t>& lo,
-                    const std::vector<index_t>& hi, Accum a) {
+                    const std::vector<index_t>& hi) {
     serve::ReconstructRequest<double> r;
     r.model = id;
     r.lo = lo;
     r.hi = hi;
-    r.accum = a;
     fs.push_back(*svc.try_submit(r));
   };
-  full(Accum::kNative);
-  full(Accum::kNative);
-  region({2, 5, 0}, {20, 61, 18}, Accum::kNative);
-  region({2, 5, 0}, {20, 61, 18}, Accum::kNative);
-  region({0, 0, 3}, {24, 70, 11}, Accum::kNative);
-  full(Accum::kWide);
-  region({1, 4, 2}, {9, 30, 10}, Accum::kWide);
+  full();
+  full();
+  region({2, 5, 0}, {20, 61, 18});
+  region({2, 5, 0}, {20, 61, 18});
+  region({0, 0, 3}, {24, 70, 11});
+  full();
+  region({1, 4, 2}, {9, 30, 10});
   svc.start();
   svc.drain();
   std::vector<std::vector<unsigned char>> fps;
@@ -421,7 +405,7 @@ TEST(ServiceBatch, ResponsesBitwiseAcrossBatchSizes) {
   }
 }
 
-// Different models (and different accum widths) never share a fusion key:
+// Different models never share a fusion key:
 // with one worker and a frozen A,B,A,B queue, each fused group holds one
 // model's two requests, never all four.
 TEST(ServiceBatch, MixedModelQueuesDoNotFuse) {

@@ -274,16 +274,14 @@ TEST(Service, MultiLeafQrCompressMatchesDirectSthosvd) {
   }
 }
 
-// The same contract on the mixed-precision path: fp32 storage with wide
-// accumulation, where the accumulator reaches the Gram, sketch and TTM
-// kernels but not the LQ or the small SVD.
-TEST(Service, SingleWideCompressMatchesDirectSthosvd) {
+// The same contract in single precision, through the options-struct entry
+// point and on every engine (kStream is kQr on a resident tensor).
+TEST(Service, SingleCompressMatchesDirectSthosvd) {
   ThreadsGuard guard;
   auto x = std::make_shared<Tensor<float>>(data::round_tensor_to<float>(
       data::random_tensor<double>({14, 12, 10}, 29)));
   const auto spec = core::TruncationSpec::fixed_ranks({4, 4, 3});
-  core::SthosvdOptions sopt;
-  sopt.accum = Accum::kWide;
+  const core::SthosvdOptions sopt;
   for (auto method : {core::SvdMethod::kQr, core::SvdMethod::kGram,
                       core::SvdMethod::kRand, core::SvdMethod::kStream}) {
     parallel::set_max_threads(1);

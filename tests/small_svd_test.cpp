@@ -3,8 +3,8 @@
 // rank-deficient triangle and as the oracle. The two solvers are checked
 // against each other, against known spectra and on rank-deficient input,
 // and the dispatch is pinned bitwise: the result never depends on the
-// thread width, a ThreadWidthCap (serve workers run capped) or the ignored
-// Accum argument, which is what lets a served compress equal the offline one.
+// thread width or a ThreadWidthCap (serve workers run capped), which is what
+// lets a served compress equal the offline one.
 // (Golub-Kahan needs a non-empty operand, Jacobi a tall or square one; an
 // LQ triangle is always tall or square.)
 
@@ -23,6 +23,7 @@
 #include "lapack/bidiag_svd.hpp"
 #include "lapack/svd.hpp"
 #include "stream/hier_svd.hpp"
+#include "stream/unfolding_source.hpp"
 #include "tensor/tensor_lq.hpp"
 
 namespace tucker {
@@ -297,18 +298,17 @@ TEST(SmallSvdDispatchTest, EmptyTriangleTakesJacobi) {
   }
 }
 
-TEST(SmallSvdDispatchTest, AccumArgumentIsIgnored) {
-  // The LQ and the small SVD run at storage precision: a wide accumulator
-  // request reaches neither solver, at any width.
+TEST(SmallSvdDispatchTest, SingleResultIsWidthInvariant) {
+  // Both solvers run at storage precision and never consult the width.
   ThreadsGuard tg;
   for (auto b : kBackends) {
     for (index_t m : {index_t{40}, index_t{80}}) {
       auto l = random_tall<float>(m, 40, 61 + static_cast<unsigned>(m));
       parallel::set_max_threads(1);
-      const auto ref = core::svd_of_l(l, b, Accum::kNative);
+      const auto ref = core::svd_of_l(l, b);
       for (int threads : {1, 2, 7}) {
         parallel::set_max_threads(threads);
-        expect_same_mode_svd(core::svd_of_l(l, b, Accum::kWide), ref,
+        expect_same_mode_svd(core::svd_of_l(l, b), ref,
                              std::string(backend_name(b)) +
                                  " m=" + std::to_string(m) +
                                  " threads=" + std::to_string(threads));
@@ -341,7 +341,9 @@ TEST(SmallSvdDispatchTest, WidthCapLeavesTheResultUnchanged) {
 
 TEST(SmallSvdDispatchTest, QrAndStreamSvdRunGolubKahanOnTheTriangle) {
   // Both drivers hand their LQ triangle to the same default small SVD, so a
-  // served or streamed QR-SVD is the offline one down to the last bit.
+  // served or streamed QR-SVD is the offline one down to the last bit. The
+  // streamed triangle is stream_sthosvd's for a non-trailing mode: slab
+  // LQs of three trailing slices each, merged by TriangleReducer.
   auto y = data::random_tensor<double>({10, 9, 12}, 117);
   for (std::size_t n = 0; n < y.order(); ++n) {
     const std::string mode = "mode " + std::to_string(n);
@@ -349,12 +351,19 @@ TEST(SmallSvdDispatchTest, QrAndStreamSvdRunGolubKahanOnTheTriangle) {
         core::qr_svd(y, n),
         as_mode_svd<double>(la::bidiag_svd(tensor::tensor_lq(y, n).cview())),
         "qr_svd, " + mode);
-    const index_t chunk = 3;
+    if (n + 1 == y.order()) continue;  // the slab axis is row-split
+    stream::InMemorySource<double> src(y, 3);
+    stream::TriangleReducer<double> red(y.dim(n));
+    tensor::Tensor<double> slab;
+    for (index_t s = 0; s < src.num_slabs(); ++s) {
+      src.read_slab(s, slab);
+      red.push(tensor::tensor_lq(slab, n).cview());
+    }
+    const Matrix<double> merged = red.reduce();
     expect_same_mode_svd(
-        core::stream_svd(y, n, chunk),
-        as_mode_svd<double>(la::bidiag_svd(
-            stream::chunked_unfolding_lq(y, n, chunk).cview())),
-        "stream_svd, " + mode);
+        core::svd_of_l(merged, SmallSvdBackend::kAuto),
+        as_mode_svd<double>(la::bidiag_svd(merged.cview())),
+        "merged triangle, " + mode);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "stream/hier_svd.hpp"
 #include "stream/stream_sthosvd.hpp"
 #include "stream/unfolding_source.hpp"
+#include "tensor/tensor_lq.hpp"
 #include "tensor/ttm.hpp"
 
 namespace tucker {
@@ -245,11 +246,27 @@ TEST(ChunkedIoDeathTest, AbortingOpenRejectsGarbage) {
 
 // ------------------------------------------------ hierarchical SVD bricks
 
+/// The merged LQ triangle of mode n as stream_sthosvd builds it out of
+/// core: tensor_lq of each slab of `slab_slices` trailing slices, folded
+/// by TriangleReducer.
+Matrix<double> merged_triangle(const Tensor<double>& x, std::size_t n,
+                               index_t slab_slices) {
+  stream::InMemorySource<double> src(x, slab_slices);
+  stream::TriangleReducer<double> red(x.dim(n));
+  Tensor<double> slab;
+  for (index_t s = 0; s < src.num_slabs(); ++s) {
+    src.read_slab(s, slab);
+    red.push(tensor::tensor_lq(slab, n).cview());
+  }
+  return red.reduce();
+}
+
 TEST(HierSvdTest, SingleChunkStreamSvdIsBitwiseQrSvd) {
   auto x = decaying_tensor({9, 8, 7}, 1e-6, 21);
   for (std::size_t n = 0; n < 3; ++n) {
     auto qr = core::qr_svd(x, n);
-    auto st = core::stream_svd(x, n, /*chunk_slices=*/x.dims().back());
+    auto st = core::svd_of_l(merged_triangle(x, n, x.dims().back()),
+                             core::SmallSvdBackend::kAuto);
     ASSERT_EQ(st.sigma_sq.size(), qr.sigma_sq.size());
     for (std::size_t i = 0; i < qr.sigma_sq.size(); ++i)
       EXPECT_EQ(st.sigma_sq[i], qr.sigma_sq[i]) << "mode " << n;
@@ -263,7 +280,7 @@ TEST(HierSvdTest, MultiChunkTriangleMatchesDirectLq) {
   auto x = decaying_tensor({8, 7, 10}, 1e-6, 22);
   for (index_t chunk : {1, 3, 4}) {
     auto direct = tensor::tensor_lq(x, 0);
-    auto merged = stream::chunked_unfolding_lq(x, 0, chunk);
+    auto merged = merged_triangle(x, 0, chunk);
     const index_t m = direct.rows();
     double worst = 0, scale = 0;
     for (index_t i = 0; i < m; ++i)

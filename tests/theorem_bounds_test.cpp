@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "blas/blas1.hpp"
 #include "blas/gemm.hpp"
@@ -20,6 +23,9 @@
 #include "lapack/bidiag_svd.hpp"
 #include "lapack/qr.hpp"
 #include "lapack/tridiag_eig.hpp"
+#include "stream/hier_svd.hpp"
+#include "stream/unfolding_source.hpp"
+#include "tensor/tensor_lq.hpp"
 
 namespace tucker {
 namespace {
@@ -218,13 +224,29 @@ TEST(Theorem2Test, LowRankResidualAmplification) {
   EXPECT_GT(res_gram, 2 * res_qr);
 }
 
-// ---- Theorem 1 for the hierarchical (streaming) engine -----------------
+// ---- Theorem 1 for the out-of-core merge tree ---------------------------
 //
 // The Iwen-Ong merge tree composes structured Householder QRs, so the
 // computed singular values must stay on the same eps*||A|| rung as the
 // direct QR path -- the merge depth only enters the constant. The
 // reference truth is the double-precision direct QR-SVD (trusted to
 // ~1e-14 by the tests above).
+
+/// stream_sthosvd's SVD of a non-trailing mode out of core: tensor_lq of
+/// each slab of `slab_slices` trailing slices, merged by TriangleReducer,
+/// then the default small SVD.
+template <class T>
+core::ModeSvd<T> merged_lq_svd(const tensor::Tensor<T>& x, std::size_t n,
+                               index_t slab_slices) {
+  stream::InMemorySource<T> src(x, slab_slices);
+  stream::TriangleReducer<T> red(x.dim(n));
+  tensor::Tensor<T> slab;
+  for (index_t s = 0; s < src.num_slabs(); ++s) {
+    src.read_slab(s, slab);
+    red.push(tensor::tensor_lq(slab, n).cview());
+  }
+  return core::svd_of_l(red.reduce(), core::SmallSvdBackend::kAuto);
+}
 
 TEST(Theorem1StreamTest, MergedTriangleSigmasStayOnEpsRung) {
   auto x = data::tensor_with_spectra(
@@ -244,7 +266,7 @@ TEST(Theorem1StreamTest, MergedTriangleSigmasStayOnEpsRung) {
 
     for (index_t chunk : {1, 3, 5}) {
       // Double: |~sigma_i - sigma_i| = O(eps_d ||A||), uniformly in i.
-      auto sd = core::stream_svd(x, n, chunk);
+      auto sd = merged_lq_svd(x, n, chunk);
       ASSERT_EQ(sd.sigma_sq.size(), sigma.size());
       for (std::size_t i = 0; i < sigma.size(); ++i)
         EXPECT_NEAR(std::sqrt(static_cast<double>(sd.sigma_sq[i])), sigma[i],
@@ -252,7 +274,7 @@ TEST(Theorem1StreamTest, MergedTriangleSigmasStayOnEpsRung) {
             << "mode " << n << " chunk " << chunk << " i " << i;
 
       // Single: the same shape with eps_s -- absolute, not relative.
-      auto ss = core::stream_svd(xf, n, chunk);
+      auto ss = merged_lq_svd(xf, n, chunk);
       ASSERT_EQ(ss.sigma_sq.size(), sigma.size());
       for (std::size_t i = 0; i < sigma.size(); ++i)
         EXPECT_NEAR(std::sqrt(static_cast<double>(ss.sigma_sq[i])), sigma[i],
@@ -273,7 +295,7 @@ TEST(Theorem1StreamTest, MergeDepthDoesNotErodeTheSubspace) {
       5601);
   const index_t k = 4;
   auto ref = core::qr_svd(x, 0);
-  auto deep = core::stream_svd(x, 0, 1);
+  auto deep = merged_lq_svd(x, 0, 1);
   Matrix<double> uref(ref.u.rows(), k), udeep(deep.u.rows(), k);
   blas::copy(MatView<const double>(ref.u.view().block(0, 0, ref.u.rows(), k)),
              uref.view());
@@ -317,61 +339,9 @@ TEST(Theorem1TreeTest, SingleLqOfLongUnfoldingStaysOnEpsRung) {
   }
 }
 
-// ---- Mixed-precision rungs of the ladder -------------------------------
+// ---- The fp32 randomized range finder ----------------------------------
 //
-// One new rung between plain single and double, plus the fp32 sketch:
-//   * fp32 storage + fp64 register accumulation (Accum::kWide): removes the
-//     k-chain accumulation term, leaving only the storage rounding, so the
-//     Gram matrix itself tightens while the sigma errors stay on the same
-//     Theorem-2 rung (the G storage rounding is untouched).
-//   * fp32 randomized range finder: the recovered spectrum stays on the
-//     working-precision rung.
-
-TEST(MixedPrecisionTest, WideAccumTightensGramAndStaysOnTheRung) {
-  const index_t m = 24;
-  auto sigma = data::geometric_spectrum(m, 1.0, 1e-5);
-  auto a = data::matrix_with_spectrum(m, 6 * m, sigma, 5701);
-  auto af = data::round_to<float>(a);
-  auto ad = data::round_to<double>(a);  // exact copy of what float sees
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < a.cols(); ++j)
-      ad(i, j) = static_cast<double>(af(i, j));
-
-  // Entrywise: the wide-accum Gram matrix is strictly closer to the exact
-  // Gram of the rounded input than the native-single one (the accumulation
-  // chain is 6*m = 144 roundings native vs exactly one storage rounding
-  // wide).
-  Matrix<double> g_exact(m, m);
-  blas::syrk(1.0, MatView<const double>(ad.view()), 0.0, g_exact.view());
-  Matrix<float> g_native(m, m), g_wide(m, m);
-  blas::syrk(1.0f, MatView<const float>(af.view()), 0.0f, g_native.view());
-  blas::syrk<float, double>(1.0f, MatView<const float>(af.view()), 0.0f,
-                            g_wide.view());
-  double err_native = 0, err_wide = 0;
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j <= i; ++j) {
-      err_native = std::max(
-          err_native,
-          std::abs(static_cast<double>(g_native(i, j)) - g_exact(i, j)));
-      err_wide = std::max(
-          err_wide,
-          std::abs(static_cast<double>(g_wide(i, j)) - g_exact(i, j)));
-    }
-  EXPECT_LT(err_wide, err_native);
-  EXPECT_LE(err_wide, 1.2e-7);  // one rounding of entries of norm <= 1
-
-  // Spectral: the wide-accum Gram sigmas satisfy the same Theorem-2 bound
-  // as the native-single run in GramSigmaErrorScalesWithAmplification --
-  // no worse than plain single anywhere on the spectrum.
-  auto eig = la::tridiag_eig(MatView<const float>(g_wide.view()));
-  for (index_t i = 0; i < m; ++i) {
-    const double truth = sigma[static_cast<std::size_t>(i)];
-    const double got = std::sqrt(std::abs(
-        static_cast<double>(eig.lambda[static_cast<std::size_t>(i)])));
-    const double bound = 200 * 1.2e-7 / std::max(truth, 1.2e-7);
-    EXPECT_LE(std::abs(got - truth), bound + 1e-7) << i;
-  }
-}
+// The recovered spectrum stays on the working-precision rung.
 
 TEST(MixedPrecisionTest, SingleSketchStaysOnTheWorkingPrecisionRung) {
   auto x = data::tensor_with_spectra(
@@ -454,6 +424,82 @@ TEST(RoundTripTest, ReconstructionStaysWithinToleranceRung) {
     }
   }
 }
+
+// ---- The certificate as an oracle, per engine and precision -----------
+//
+// For each engine in single and double, at tolerances on that engine's
+// rung of README's variant table, a tolerance ST-HOSVD must (1) meet the
+// tolerance and (2) be bounded by its own certificate up to working
+// precision: measured <= certified * (1 + kDelta) + kRoundoff * eps_T.
+// The certificate sums the discarded tails of the *computed* spectra, so
+// it leaves out the roundoff of the factorization and of the
+// reconstruction; kRoundoff * eps_T pays for that, kDelta for the
+// perturbation of the computed tails (Gram's sqrt(eps) rung, the sketch).
+
+struct OracleCase {
+  core::SvdMethod method;
+  bool single;
+  std::vector<double> tolerances;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << core::method_name(c.method) << (c.single ? " single" : " double");
+}
+
+class CertificateOracleTest : public ::testing::TestWithParam<OracleCase> {
+ protected:
+  static constexpr double kDelta = 0.1;
+  static constexpr double kRoundoff = 100;
+
+  template <class T>
+  void run(const OracleCase& c) {
+    const tensor::Dims dims{26, 22, 18};
+    const auto profile = data::DecayProfile::geometric(1.0, 1e-9);
+    const auto x = data::round_tensor_to<T>(
+        data::tensor_with_spectra(dims, {profile, profile, profile}, 6101));
+    const double eps_t = std::numeric_limits<T>::epsilon();
+    for (const double tol : c.tolerances) {
+      const auto res =
+          core::sthosvd(x, core::TruncationSpec::tolerance(tol), c.method);
+      bool truncated = false;
+      for (std::size_t n = 0; n < dims.size(); ++n)
+        truncated = truncated || res.ranks[n] < dims[n];
+      ASSERT_TRUE(truncated) << "tol " << tol;
+      const double measured = core::relative_error(x, res.tucker);
+      const double certified = res.estimated_relative_error();
+      EXPECT_LE(certified, tol * (1 + 1e-12)) << "tol " << tol;
+      EXPECT_LE(measured, tol) << "tol " << tol;
+      EXPECT_LE(measured, certified * (1 + kDelta) + kRoundoff * eps_t)
+          << "tol " << tol << " certified " << certified;
+    }
+  }
+};
+
+TEST_P(CertificateOracleTest, MeasuredErrorWithinToleranceAndCertificate) {
+  const OracleCase& c = GetParam();
+  if (c.single) {
+    run<float>(c);
+  } else {
+    run<double>(c);
+  }
+}
+
+// Rungs (README, "Which variant should I use?"): Gram single >= 1e-3, QR
+// single down to ~1e-5, Gram double down to ~1e-7 (sqrt(eps_d) ~ 1.5e-8),
+// QR double below that; Rand at loose tolerances.
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndPrecisions, CertificateOracleTest,
+    ::testing::Values(
+        OracleCase{core::SvdMethod::kQr, true, {1e-3, 1e-4, 1e-5}},
+        OracleCase{core::SvdMethod::kGram, true, {1e-2, 1e-3}},
+        OracleCase{core::SvdMethod::kRand, true, {1e-2, 1e-3}},
+        OracleCase{core::SvdMethod::kQr, false, {1e-4, 1e-6, 1e-8}},
+        OracleCase{core::SvdMethod::kGram, false, {1e-4, 1e-6}},
+        OracleCase{core::SvdMethod::kRand, false, {1e-2, 1e-4}}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(core::method_name(info.param.method)) +
+             (info.param.single ? "Single" : "Double");
+    });
 
 }  // namespace
 }  // namespace tucker

@@ -369,16 +369,17 @@ KernelCase ttm_case() {
           }};
 }
 
-// sketch: width-24 Gaussian sketch of the mode-1 unfolding of a d^3 cube
-// (the randomized engine's factorization kernel; Omega is generated on
-// the fly, so the byte count is the streamed-gemm model from
-// flops::sketch_bytes).
+// The randomized engine's three unfolding kernels on the mode-1 unfolding
+// of a d^3 cube at width 24: sketch (the factorization kernel; Omega is
+// generated on the fly, so the byte count is the streamed-gemm model from
+// flops::sketch_bytes), power (one X X^T W multiply, which streams X
+// twice) and projgram (the projected Gram of B = Q^T X, X once).
 template <class T>
-KernelCase sketch_case() {
+std::vector<KernelCase> rand_cases() {
   const index_t d = 160, wid = 24;
   struct In {
     tucker::tensor::Tensor<T> x;
-    Matrix<T> s;
+    Matrix<T> s, q, out, g;
   };
   auto in = std::make_shared<In>();
   in->x = tucker::tensor::Tensor<T>({d, d, d});
@@ -386,16 +387,37 @@ KernelCase sketch_case() {
   for (index_t i = 0; i < in->x.size(); ++i)
     in->x.data()[i] = rng.normal<T>();
   in->s = Matrix<T>(d, wid);
+  in->q = rand_mat<T>(d, wid, 7);
+  in->out = Matrix<T>(d, wid);
+  in->g = Matrix<T>(wid, wid);
   const auto cols = static_cast<std::int64_t>(d) * d;
-  return {"sketch", d,
-          static_cast<double>(tucker::flops::gaussian_sketch(d, cols, wid)),
-          static_cast<double>(
-              tucker::flops::sketch_bytes(d, cols, wid, sizeof(T))),
-          [in] {
-            tucker::tensor::sketch_unfolding_cols(in->x, 1, 0x5eedULL, 0, wid,
-                                                  in->s.view());
-            benchmark::DoNotOptimize(in->s.data());
-          }};
+  const auto bytes = static_cast<double>(
+      tucker::flops::sketch_bytes(d, cols, wid, sizeof(T)));
+  return {
+      {"sketch", d,
+       static_cast<double>(tucker::flops::gaussian_sketch(d, cols, wid)),
+       bytes,
+       [in] {
+         tucker::tensor::sketch_unfolding_cols(in->x, 1, 0x5eedULL, 0, wid,
+                                               in->s.view());
+         benchmark::DoNotOptimize(in->s.data());
+       }},
+      {"power", d,
+       static_cast<double>(tucker::flops::power_iteration(d, cols, wid)),
+       2 * bytes,
+       [in] {
+         tucker::tensor::unfolding_aat_multiply(in->x, 1, in->q.cview(),
+                                                in->out.view());
+         benchmark::DoNotOptimize(in->out.data());
+       }},
+      {"projgram", d,
+       static_cast<double>(tucker::flops::projected_gram(d, cols, wid)),
+       bytes,
+       [in] {
+         tucker::tensor::projected_gram(in->x, 1, in->q.cview(),
+                                        in->g.view());
+         benchmark::DoNotOptimize(in->g.data());
+       }}};
 }
 
 void sweep_case(std::vector<SweepRow>& rows, const char* prec,
@@ -416,7 +438,7 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
     sweep_case(rows, prec, gemm_case<T>(n));
   sweep_case(rows, prec, syrk_case<T>());
   sweep_case(rows, prec, ttm_case<T>());
-  sweep_case(rows, prec, sketch_case<T>());
+  for (const KernelCase& kc : rand_cases<T>()) sweep_case(rows, prec, kc);
 }
 
 void run_sweep(std::vector<SweepRow>& rows) {

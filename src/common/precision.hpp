@@ -48,8 +48,9 @@ concept Real = std::is_same_v<T, float> || std::is_same_v<T, double>;
 /// Accum::kNative`: core::sthosvd (positional), core::svd_of_l,
 /// core::rand_svd, tensor::gram_of_unfolding, tensor::ttm_into,
 /// tensor::sketch_unfolding_cols, tensor::unfolding_aat_multiply and
-/// tensor::projected_gram. ROADMAP item 9 drops the argument from those
-/// calls and then deletes the enum and the eight parameters.
+/// tensor::projected_gram. core::mode_svd passes it too, to reach
+/// rand_svd's trailing known_norm_sq. ROADMAP item 9 drops the argument
+/// from those calls and then deletes the enum and the eight parameters.
 enum class Accum { kNative };
 
 }  // namespace tucker

@@ -34,26 +34,52 @@ int default_width() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// One in-flight fanout. Kept in a shared_ptr so a worker that wakes after
-// the submitter has already returned only touches memory that is still
-// alive; such a late worker finds no chunks left and goes back to sleep.
+using Body = std::function<void(index_t, index_t, index_t)>;  // (chunk, lo, hi)
+
+// One fanout's state. The pool keeps a record per pool thread and reuses
+// them, so a fanout allocates nothing but what copying its body takes
+// (none for parallel_for's one-pointer wrapper). A worker that takes a
+// record counts itself in `holders` until it has stopped reading it, and
+// the submitter reuses only a record no worker holds: a worker that wakes
+// late still finds its record intact, with no chunks left, and lets it go.
 struct Fanout {
   index_t begin = 0;
   index_t nchunks = 0;
   index_t base = 0;  // chunk sizes: first `rem` chunks get base + 1
   index_t rem = 0;
-  std::function<void(index_t, index_t, index_t)> body;  // (chunk, lo, hi)
+  Body body;  // copied in; parallel_for's wrapper fits the small buffer
   std::atomic<index_t> next{0};
   std::atomic<index_t> done{0};
   std::atomic<std::int64_t> worker_flops{0};
   std::atomic<std::int64_t> worker_traffic{0};
   std::exception_ptr eptr;
   std::mutex eptr_mutex;
+  std::atomic<int> holders{0};
+
+  void start(index_t b, index_t n, index_t bs, index_t r, const Body& fn) {
+    begin = b;
+    nchunks = n;
+    base = bs;
+    rem = r;
+    body = fn;
+    next.store(0, std::memory_order_relaxed);
+    done.store(0, std::memory_order_relaxed);
+    worker_flops.store(0, std::memory_order_relaxed);
+    worker_traffic.store(0, std::memory_order_relaxed);
+    eptr = nullptr;
+  }
 
   void chunk_bounds(index_t t, index_t& lo, index_t& hi) const {
     lo = begin + t * base + std::min(t, rem);
     hi = lo + base + (t < rem ? 1 : 0);
   }
+};
+
+// What a finished fanout hands back to its submitter.
+struct FanoutResult {
+  std::int64_t worker_flops = 0;
+  std::int64_t worker_traffic = 0;
+  std::exception_ptr eptr;
 };
 
 class Pool {
@@ -76,34 +102,41 @@ class Pool {
     start_workers_locked();
   }
 
-  // Fans `job` out to the workers and participates from the calling thread.
+  // Runs chunks [0, nchunks) of fn on the workers and the calling thread.
   // Returns only after every chunk has completed.
-  void run(const std::shared_ptr<Fanout>& job) {
+  FanoutResult run(index_t begin, index_t nchunks, index_t base, index_t rem,
+                   const Body& fn) {
     {
       std::lock_guard<std::mutex> g(config_mutex_);
       ensure_started_locked();
     }
     // One fanout at a time: a second top-level submitter (e.g. another
-    // simmpi rank granted width > 1) just runs its chunks inline, which is
-    // correct because chunk placement never affects results.
+    // simmpi rank granted width > 1) just runs its chunks inline on a
+    // private record, which is correct because chunk placement never
+    // affects results.
     std::unique_lock<std::mutex> submit(submit_mutex_, std::try_to_lock);
     if (!submit.owns_lock()) {
-      drain(*job, /*on_worker=*/false);
-      wait_done(*job);
-      return;
+      Fanout own;
+      own.start(begin, nchunks, base, rem, fn);
+      drain(own, /*on_worker=*/false);
+      return {0, 0, own.eptr};
     }
+    Fanout& job = free_record();
+    job.start(begin, nchunks, base, rem, fn);
     {
       std::lock_guard<std::mutex> g(wake_mutex_);
-      current_ = job;
+      current_ = &job;
       ++generation_;
     }
     wake_cv_.notify_all();
-    drain(*job, /*on_worker=*/false);
-    wait_done(*job);
+    drain(job, /*on_worker=*/false);
+    wait_done(job);
     {
       std::lock_guard<std::mutex> g(wake_mutex_);
-      current_.reset();
+      current_ = nullptr;
     }
+    return {job.worker_flops.load(std::memory_order_relaxed),
+            job.worker_traffic.load(std::memory_order_relaxed), job.eptr};
   }
 
  private:
@@ -118,6 +151,8 @@ class Pool {
 
   void start_workers_locked() {
     shutdown_ = false;
+    while (records_.size() < static_cast<std::size_t>(width_))
+      records_.push_back(std::make_unique<Fanout>());
     const int nworkers = width_ - 1;
     workers_.reserve(static_cast<std::size_t>(nworkers));
     for (int i = 0; i < nworkers; ++i)
@@ -135,19 +170,33 @@ class Pool {
     workers_.clear();
   }
 
+  // A record no worker holds. Called with submit_mutex_ held and no record
+  // published, so no worker can take the one returned. Each worker holds
+  // at most one record and there is one per pool thread, so one is free.
+  Fanout& free_record() {
+    for (const auto& r : records_)
+      if (r->holders.load(std::memory_order_acquire) == 0) return *r;
+    records_.push_back(std::make_unique<Fanout>());  // unreachable
+    return *records_.back();
+  }
+
   void worker_loop() {
     t_is_worker = true;
     std::uint64_t seen = 0;
     for (;;) {
-      std::shared_ptr<Fanout> job;
+      Fanout* job;
       {
         std::unique_lock<std::mutex> lk(wake_mutex_);
         wake_cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
         if (shutdown_) return;
         seen = generation_;
         job = current_;
+        if (job) job->holders.fetch_add(1, std::memory_order_relaxed);
       }
-      if (job) drain(*job, /*on_worker=*/true);
+      if (job) {
+        drain(*job, /*on_worker=*/true);
+        job->holders.fetch_sub(1, std::memory_order_release);
+      }
     }
   }
 
@@ -198,7 +247,10 @@ class Pool {
   std::condition_variable wake_cv_;
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
-  std::shared_ptr<Fanout> current_;
+  Fanout* current_ = nullptr;  // the published fanout, if any
+  // One per pool thread, made with the workers; picked by the holder of
+  // submit_mutex_.
+  std::vector<std::unique_ptr<Fanout>> records_;
   std::uint64_t generation_ = 0;
   bool shutdown_ = false;
   int width_ = 0;  // 0 = not yet started
@@ -225,20 +277,13 @@ void run_indexed(index_t begin, index_t end, index_t grain,
     return;
   }
 
-  auto job = std::make_shared<Fanout>();
-  job->begin = begin;
-  job->nchunks = nchunks;
-  job->base = base;
-  job->rem = rem;
-  job->body = fn;
-  Pool::instance().run(job);
+  const FanoutResult res =
+      Pool::instance().run(begin, nchunks, base, rem, fn);
   // Worker-side flops belong to the logical computation this thread
   // submitted; fold them into its counter.
-  const std::int64_t wf = job->worker_flops.load(std::memory_order_relaxed);
-  if (wf != 0) add_flops(wf);
-  const std::int64_t wb = job->worker_traffic.load(std::memory_order_relaxed);
-  if (wb != 0) add_traffic(wb);
-  if (job->eptr) std::rethrow_exception(job->eptr);
+  if (res.worker_flops != 0) add_flops(res.worker_flops);
+  if (res.worker_traffic != 0) add_traffic(res.worker_traffic);
+  if (res.eptr) std::rethrow_exception(res.eptr);
 }
 
 }  // namespace

@@ -76,7 +76,10 @@ index_t num_chunks(index_t begin, index_t end, index_t grain);
 /// on any thread in any order, so fn must only write state disjoint per
 /// subrange. The first exception thrown by fn is rethrown on the caller
 /// after all claimed chunks finish. Flops recorded by fn on worker threads
-/// are credited to the calling thread's counter.
+/// are credited to the calling thread's counter. The fanout itself makes no
+/// heap allocation (the pool reuses its records), so a call whose lambda
+/// fits std::function's small buffer (one or two captured pointers) is
+/// allocation-free.
 void parallel_for(index_t begin, index_t end, index_t grain,
                   const std::function<void(index_t, index_t)>& fn);
 

@@ -230,17 +230,19 @@ struct SthosvdResult {
 /// One mode of Alg 1 on a resident tensor: the engine's SVD of y's mode-n
 /// unfolding, truncate_mode, and Y x_n U^T into `next`. sthosvd and the
 /// resident finish of stream_sthosvd both run it, so they agree bit for
-/// bit.
+/// bit. `known_norm_sq` is y.norm_squared() when the caller holds it (see
+/// rand_svd).
 template <class T>
 void sthosvd_mode(const tensor::Tensor<T>& y, std::size_t n,
                   const TruncationSpec& spec, SvdMethod method,
                   double threshold_sq, const RandSvdOptions& ropt,
-                  SthosvdResult<T>& out, tensor::Tensor<T>& next) {
+                  SthosvdResult<T>& out, tensor::Tensor<T>& next,
+                  const double* known_norm_sq = nullptr) {
   // The randomized engine needs the truncation context (target rank or
-  // energy budget) to size its sketch; Gram/QR ignore both extras.
+  // energy budget) to size its sketch; Gram/QR ignore the extras.
   const ModeSvd<T> svd = mode_svd(
       y, n, method, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
-      threshold_sq, ropt);
+      threshold_sq, ropt, known_norm_sq);
   blas::Matrix<T> u = truncate_mode(svd, spec, n, threshold_sq,
                                     out.mode_sigmas[n], out.ranks[n]);
   tensor::ttm_into(y, n, blas::MatView<const T>(u.view().t()), next);
@@ -276,7 +278,9 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
   const tensor::Tensor<T>* ycur = &x;
   std::size_t slot = 0;
   for (std::size_t n : order) {
-    sthosvd_mode(*ycur, n, spec, method, threshold_sq, ropt, out, pp[slot]);
+    // The first mode's tensor is x, whose norm is already known.
+    sthosvd_mode(*ycur, n, spec, method, threshold_sq, ropt, out, pp[slot],
+                 ycur == &x ? &out.norm_squared : nullptr);
     ycur = &pp[slot];
     slot ^= 1;
   }

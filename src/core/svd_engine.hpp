@@ -167,10 +167,14 @@ struct RandSvdOptions {
 /// Determinism: Omega is a pure function of (seed, mode, global column,
 /// sketch column), and every kernel underneath is bitwise thread-invariant,
 /// so results are bitwise identical at any TUCKER_NUM_THREADS.
+///
+/// `known_norm_sq`, when given, is y.norm_squared() already computed by
+/// the caller (sthosvd's first mode); the value is the same either way.
 template <class T>
 ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
                     double threshold_sq, const RandSvdOptions& opt = {},
-                    Accum = Accum::kNative) {
+                    Accum = Accum::kNative,
+                    const double* known_norm_sq = nullptr) {
   const index_t m = y.dim(n);
   const index_t cols = tensor::prod_before(y.dims(), n) *
                        tensor::prod_after(y.dims(), n);
@@ -193,7 +197,7 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
   }
   w = std::max<index_t>(w, 1);
 
-  const double norm_sq = y.norm_squared();
+  const double norm_sq = known_norm_sq ? *known_norm_sq : y.norm_squared();
   const std::uint64_t stream = substream(opt.seed, n);
 
   Workspace& ws = Workspace::local();
@@ -265,13 +269,14 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
 }
 
 /// Dispatches on the method enum with full truncation context (fixed_rank
-/// as in rand_svd; both extra arguments are ignored by the deterministic
-/// engines, which always compute the full factorization). kStream is
-/// kQr on a resident tensor.
+/// and known_norm_sq as in rand_svd; the extra arguments are ignored by the
+/// deterministic engines, which always compute the full factorization).
+/// kStream is kQr on a resident tensor.
 template <class T>
 ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
                     index_t fixed_rank, double threshold_sq,
-                    const RandSvdOptions& ropt = {}) {
+                    const RandSvdOptions& ropt = {},
+                    const double* known_norm_sq = nullptr) {
   switch (method) {
     case SvdMethod::kGram:
       return gram_svd(y, n);
@@ -279,7 +284,8 @@ ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
     case SvdMethod::kStream:
       return qr_svd(y, n);
     case SvdMethod::kRand:
-      return rand_svd(y, n, fixed_rank, threshold_sq, ropt);
+      return rand_svd(y, n, fixed_rank, threshold_sq, ropt, Accum::kNative,
+                      known_norm_sq);
   }
   TUCKER_CHECK(false, "mode_svd: unknown method");
   return {};

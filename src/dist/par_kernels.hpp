@@ -282,7 +282,7 @@ void tsqr_orthonormalize(blas::MatView<T> w_slab, mpi::Comm& fiber,
 
 /// Maps a *local* unfolding column index of a distributed block to the
 /// corresponding *global* unfolding column: mixed-radix decode over the
-/// modes other than n (mode 0 fastest, matching for_each_unfolding_panel's
+/// modes other than n (mode 0 fastest, matching for_each_unfolding_step's
 /// column order), offset by the rank's owned range in each mode. This is
 /// what lets every rank draw its rows of the one global test matrix Omega
 /// locally, with zero communication.
@@ -633,6 +633,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
   const double norm_sq = st.norm_sq;
   const double threshold_sq = st.threshold_sq;
   index_t w = st.w;
+  using Step = tensor::detail::UnfoldingStep<T>;
 
   Workspace& ws = Workspace::local();
   auto arena = ws.frame();
@@ -689,19 +690,22 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
             ws.get<T>(static_cast<std::size_t>(
                 std::max<index_t>(cols_loc, 1) * w)),
             cols_loc, w);
-        tensor::for_each_unfolding_panel(
-            y.local(), n, [&](blas::MatView<const T> panel, index_t c0) {
-              auto zp = z.block(c0, 0, panel.cols(), w);
-              blas::gemm(T(1), blas::MatView<const T>(panel.t()),
-                         blas::MatView<const T>(qv), T(0), zp);
-            });
+        tensor::for_each_unfolding_step(y.local(), n, [&](const Step& step) {
+          tensor::detail::step_transposed_product(
+              step, blas::MatView<const T>(qv),
+              z.block(step.c0, 0, step.cols(), w));
+        });
         fiber.allreduce(z.data(), cols_loc * w, mpi::Op::kSum);
         blas::fill(wv, T(0));
-        tensor::for_each_unfolding_panel(
-            y.local(), n, [&](blas::MatView<const T> panel, index_t c0) {
-              auto zp = z.block(c0, 0, panel.cols(), w);
-              blas::gemm(T(1), panel, blas::MatView<const T>(zp), T(1), wv);
-            });
+        T* rpack = ws.get<T>(static_cast<std::size_t>(
+            tensor::detail::step_panel_cols(y.local(), n) *
+            tensor::detail::packed_width(w)));
+        tensor::for_each_unfolding_step(y.local(), n, [&](const Step& step) {
+          tensor::detail::pack_step(
+              blas::MatView<const T>(z.block(step.c0, 0, step.cols(), w)),
+              rpack);
+          tensor::detail::step_product(step, rpack, wv);
+        });
         slice.allreduce(wdata, mloc * w, mpi::Op::kSum);
       }
       detail::tsqr_orthonormalize(wv, fiber, qv);
@@ -717,12 +721,11 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
               w * std::max<index_t>(cols_loc, 1))),
           w, cols_loc);
       blas::fill(b, T(0));
-      tensor::for_each_unfolding_panel(
-          y.local(), n, [&](blas::MatView<const T> panel, index_t c0) {
-            auto bp = b.block(0, c0, w, panel.cols());
-            blas::gemm(T(1), blas::MatView<const T>(qv.t()), panel, T(0),
-                       bp);
-          });
+      tensor::for_each_unfolding_step(y.local(), n, [&](const Step& step) {
+        tensor::detail::step_transposed_product(
+            step, blas::MatView<const T>(qv),
+            b.block(0, step.c0, w, step.cols()).t());
+      });
       fiber.allreduce(b.data(), w * cols_loc, mpi::Op::kSum);
       auto g = blas::MatView<T>::row_major(
           ws.get<T>(static_cast<std::size_t>(w * w)), w, w);

@@ -16,6 +16,8 @@
 //    and a warm call's heap use does not grow with its leaf count;
 //  - a warm Gram of a many-block middle mode makes no per-block heap
 //    allocation at width 4, and only its returned matrix at width 1;
+//  - a warm call of each sketch kernel makes no per-step heap allocation
+//    at width 4, and none at width 1;
 //  - sthosvd output is bitwise identical across kernel levels and thread
 //    counts, and full sthosvd, par_sthosvd and served results are bitwise
 //    identical at every level the host runs.
@@ -29,7 +31,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <functional>
+#include <iterator>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -43,6 +48,7 @@
 #include "serve/service.hpp"
 #include "simmpi/runtime.hpp"
 #include "tensor/gram.hpp"
+#include "tensor/sketch.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_lq.hpp"
 #include "tensor/ttm.hpp"
@@ -594,8 +600,8 @@ TEST(TensorLqMemoryTest, WarmMultiLeafCallAllocatesNoMoreThanSingleLeaf) {
 
 TEST(ZeroAllocTest, WarmMiddleModeGramHasNoPerBlockHeap) {
   // Mode 1 of {32, 64, 12, 10} is 120 blocks of 32 columns. A warm call
-  // allocates its returned G and, at width 4, one pool fanout record per
-  // fanout (pack and bands per 8-block step); nothing per block.
+  // allocates its returned G and nothing per block (pool fanouts reuse
+  // their records).
   ThreadsGuard threads;
   const auto x = tucker::data::random_tensor<double>({32, 64, 12, 10}, 38);
   const index_t nblocks = tucker::tensor::unfolding_num_blocks(x, 1);
@@ -610,6 +616,74 @@ TEST(ZeroAllocTest, WarmMiddleModeGramHasNoPerBlockHeap) {
       EXPECT_EQ(allocs, 1) << "width 1: only the returned matrix";
     } else {
       EXPECT_LT(allocs, nblocks / 2) << "width " << width;
+    }
+  }
+}
+
+// ------------------------------------------------ sketch kernels' heap use
+
+// Grows every pool thread's chunk arena to `bytes`: one chunk per thread,
+// each held until all have started, so no thread runs two. Afterwards no
+// chunk frame below that size reaches the heap, whichever thread runs it.
+void warm_chunk_arenas(int width, std::size_t bytes) {
+  std::atomic<int> started{0};
+  tucker::parallel::parallel_for(0, width, 1, [&](index_t, index_t) {
+    ++started;
+    while (started.load() < width) std::this_thread::yield();
+    Workspace& ws = Workspace::local();
+    auto frame = ws.frame();
+    (void)ws.get<char>(bytes);
+  });
+}
+
+TEST(ZeroAllocTest, WarmSketchKernelsHaveNoPerStepHeap) {
+  // Mode 0 of the two tensors walks 2 and 20 steps; mode 1 (96-column
+  // blocks, 42 per step) walks 4 and 31. Both modes are tall enough that
+  // the row bands fan out too. A warm call of each sketch kernel makes as
+  // many heap allocations on the long walk as on the short one at width
+  // 4, and none at width 1: pool fanouts reuse their records, every fanout
+  // lambda fits std::function's small buffer, the step panel comes from
+  // the caller's arena and gemm packs from each thread's.
+  using tucker::tensor::Tensor;
+  ThreadsGuard threads;
+  const index_t step = tucker::tensor::detail::kSketchStep;
+  const Tensor<double> short_walk =
+      tucker::data::random_tensor<double>({96, 64, 2 * step / 64}, 39);
+  const Tensor<double> long_walk =
+      tucker::data::random_tensor<double>({96, 64, 20 * step / 64}, 40);
+  const index_t w = 10;
+  for (std::size_t n : {0u, 1u}) {
+    const index_t m = short_walk.dim(n);
+    const auto q = rand_mat<double>(m, w, 41);
+    Matrix<double> s(m, w), out(m, w), g(w, w);
+    const std::function<void(const Tensor<double>&)> kernels[] = {
+        [&](const Tensor<double>& x) {
+          tucker::tensor::sketch_unfolding_cols(x, n, 0x5eedULL, 0, w,
+                                                s.view());
+        },
+        [&](const Tensor<double>& x) {
+          tucker::tensor::unfolding_aat_multiply(x, n, q.cview(), out.view());
+        },
+        [&](const Tensor<double>& x) {
+          tucker::tensor::projected_gram(x, n, q.cview(), g.view());
+        }};
+    for (int width : {4, 1}) {
+      tucker::parallel::set_max_threads(width);
+      warm_chunk_arenas(width, std::size_t{8} << 20);
+      for (std::size_t k = 0; k < std::size(kernels); ++k) {
+        kernels[k](short_walk);
+        kernels[k](long_walk);
+        const long a0 = g_live_allocs.load();
+        kernels[k](short_walk);
+        const long a1 = g_live_allocs.load();
+        kernels[k](long_walk);
+        const long a2 = g_live_allocs.load();
+        EXPECT_EQ(a2 - a1, a1 - a0)
+            << "kernel " << k << " mode " << n << " width " << width;
+        if (width == 1) {
+          EXPECT_EQ(a1 - a0, 0) << "kernel " << k << " mode " << n;
+        }
+      }
     }
   }
 }

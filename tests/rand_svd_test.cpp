@@ -5,15 +5,20 @@
 // plain range finder (power_iters = 0) sequentially and on grids, the
 // incremental-extension property of the counter-based sketch, the flop
 // credit of the sketch kernel, the counter-based Gaussian it draws from,
-// and arena reuse. Also pins the select_rank R >= 1 contract on empty
-// input (regression) and the exhaustive method_name switch.
+// arena reuse, and (SketchSteps) the three sketch kernels against their
+// written-out per-element chains at every width and ISA level. Also pins
+// the select_rank R >= 1 contract on empty input (regression) and the
+// exhaustive method_name switch.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "blas/microkernel.hpp"
 #include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -476,15 +481,215 @@ TEST(SketchTest, FlopCreditMatchesModel) {
 }
 
 TEST(RandSvdTest, ArenaReuseNoSteadyStateGrowth) {
-  auto x = test_cube(16, 43);
-  auto& ws = tucker::Workspace::local();
-  auto r0 = tucker::core::rand_svd(x, 0, 4, 0.0);
-  const std::size_t reserved = ws.bytes_reserved();
-  for (int i = 0; i < 3; ++i) {
-    auto r = tucker::core::rand_svd(x, 0, 4, 0.0);
-    EXPECT_TRUE(bitwise_equal(r0, r));
+  // A one-step walk (the 16^3 cube) and a mode 0 of three steps.
+  const index_t step = tucker::tensor::detail::kSketchStep;
+  for (const auto& x :
+       {test_cube(16, 43), tucker::data::random_tensor<double>(
+                               {16, 2 * step / 64 + 7, 64}, 44)}) {
+    auto& ws = tucker::Workspace::local();
+    auto r0 = tucker::core::rand_svd(x, 0, 4, 0.0);
+    const std::size_t reserved = ws.bytes_reserved();
+    for (int i = 0; i < 3; ++i) {
+      auto r = tucker::core::rand_svd(x, 0, 4, 0.0);
+      EXPECT_TRUE(bitwise_equal(r0, r));
+    }
+    EXPECT_EQ(ws.bytes_reserved(), reserved);
   }
-  EXPECT_EQ(ws.bytes_reserved(), reserved);
+}
+
+// ------------------------------------------------ sketch steps, oracle
+
+// Restores the micro-kernel level the test found on entry.
+struct VariantGuard {
+  tucker::blas::detail::KernelVariant saved =
+      tucker::blas::detail::kernel_variant();
+  ~VariantGuard() { tucker::blas::detail::set_kernel_variant(saved); }
+};
+
+template <class T>
+bool same_bits(const Matrix<T>& a, const Matrix<T>& b) {
+  const auto bytes =
+      sizeof(T) * static_cast<std::size_t>(a.rows() * a.cols());
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), bytes) == 0;
+}
+
+/// The per-element chains of the three sketch kernels, written out: every
+/// sum runs over its k index in ascending order, one c += (1 * a) * b per
+/// term, from zero -- unfolding columns in order for S, out and G.
+template <class T>
+struct SketchChains {
+  Matrix<T> x;  // the mode-n unfolding
+
+  SketchChains(const Tensor<T>& t, std::size_t n)
+      : x(t.dim(n), t.size() / t.dim(n)) {
+    for (index_t i = 0; i < x.rows(); ++i)
+      for (index_t c = 0; c < x.cols(); ++c)
+        x(i, c) = tucker::tensor::unfolding_entry(t, n, i, c);
+  }
+
+  // S = X * Omega(:, jlo:jhi), Omega's row c drawn at global_col(c).
+  template <class ColMap>
+  Matrix<T> sketch(std::uint64_t stream, index_t jlo, index_t jhi,
+                   const ColMap& global_col) const {
+    Matrix<T> s(x.rows(), jhi - jlo);
+    std::vector<T> om(static_cast<std::size_t>(x.cols()));
+    for (index_t j = 0; j < s.cols(); ++j) {
+      for (index_t c = 0; c < x.cols(); ++c)
+        om[static_cast<std::size_t>(c)] = static_cast<T>(tucker::hash_normal(
+            stream, static_cast<std::uint64_t>(global_col(c)),
+            static_cast<std::uint64_t>(jlo + j)));
+      for (index_t i = 0; i < x.rows(); ++i) {
+        T acc = T(0);
+        for (index_t c = 0; c < x.cols(); ++c)
+          acc += (T(1) * x(i, c)) * om[static_cast<std::size_t>(c)];
+        s(i, j) = acc;
+      }
+    }
+    return s;
+  }
+
+  // out = X * Z with Z = X^T * W.
+  Matrix<T> aat(const Matrix<T>& wm) const {
+    Matrix<T> z(x.cols(), wm.cols()), out(x.rows(), wm.cols());
+    for (index_t c = 0; c < x.cols(); ++c)
+      for (index_t j = 0; j < wm.cols(); ++j) {
+        T acc = T(0);
+        for (index_t k = 0; k < x.rows(); ++k)
+          acc += (T(1) * x(k, c)) * wm(k, j);
+        z(c, j) = acc;
+      }
+    for (index_t i = 0; i < x.rows(); ++i)
+      for (index_t j = 0; j < wm.cols(); ++j) {
+        T acc = T(0);
+        for (index_t c = 0; c < x.cols(); ++c)
+          acc += (T(1) * x(i, c)) * z(c, j);
+        out(i, j) = acc;
+      }
+    return out;
+  }
+
+  // G = B * B^T with B = Q^T * X.
+  Matrix<T> gram(const Matrix<T>& q) const {
+    const index_t w = q.cols();
+    Matrix<T> b(w, x.cols()), g(w, w);
+    for (index_t i = 0; i < w; ++i)
+      for (index_t c = 0; c < x.cols(); ++c) {
+        T acc = T(0);
+        for (index_t k = 0; k < x.rows(); ++k)
+          acc += (T(1) * q(k, i)) * x(k, c);
+        b(i, c) = acc;
+      }
+    for (index_t i = 0; i < w; ++i)
+      for (index_t j = 0; j <= i; ++j) {
+        T acc = T(0);
+        for (index_t c = 0; c < x.cols(); ++c)
+          acc += (T(1) * b(i, c)) * b(j, c);
+        g(i, j) = g(j, i) = acc;
+      }
+    return g;
+  }
+};
+
+/// Every sketch kernel on mode n of x equals its written-out chain bit for
+/// bit at widths {1, 2, 3, 4, 7}, on the scalar oracle and every ISA level
+/// the host runs. The sketch runs twice: from column 0 with the identity
+/// map, and appended (jlo > 0) under a non-identity ColMap.
+template <class T>
+void expect_sketch_chains(const Tensor<T>& x, std::size_t n) {
+  using tucker::blas::detail::KernelVariant;
+  ThreadsGuard threads;
+  VariantGuard variant;
+  const index_t m = x.dim(n), w = 7, jlo = 5;
+  const std::uint64_t stream = 0x5ca1eULL;
+  const auto ident = [](index_t c) { return c; };
+  const auto spread = [](index_t c) { return 3 * c + 11; };
+  Matrix<T> q(m, w);
+  tucker::Rng rng(503);
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = 0; j < w; ++j) q(i, j) = rng.normal<T>();
+  const SketchChains<T> chains(x, n);
+  const Matrix<T> s0 = chains.sketch(stream, 0, w, ident);
+  const Matrix<T> s1 = chains.sketch(stream, jlo, jlo + w, spread);
+  const Matrix<T> aat = chains.aat(q);
+  const Matrix<T> gram = chains.gram(q);
+
+  Matrix<T> s(m, w), out(m, w), g(w, w);
+  for (int width : {1, 2, 3, 4, 7}) {
+    tucker::parallel::set_max_threads(width);
+    for (KernelVariant v : tucker::blas::detail::supported_kernel_variants()) {
+      tucker::blas::detail::set_kernel_variant(v);
+      const std::string at = "mode " + std::to_string(n) + " m " +
+                             std::to_string(m) + " width " +
+                             std::to_string(width) + " level " +
+                             tucker::blas::detail::kernel_variant_name(v);
+      tucker::tensor::sketch_unfolding_cols(x, n, stream, 0, w, s.view());
+      EXPECT_TRUE(same_bits(s, s0)) << "sketch, " << at;
+      tucker::tensor::sketch_unfolding_cols(x, n, stream, jlo, jlo + w,
+                                            spread, s.view());
+      EXPECT_TRUE(same_bits(s, s1)) << "appended sketch, " << at;
+      tucker::tensor::unfolding_aat_multiply(x, n, q.cview(), out.view());
+      EXPECT_TRUE(same_bits(out, aat)) << "power multiply, " << at;
+      tucker::tensor::projected_gram(x, n, q.cview(), g.view());
+      EXPECT_TRUE(same_bits(g, gram)) << "projected Gram, " << at;
+    }
+  }
+}
+
+/// The steps of mode n's walk: (columns, pieces) per step.
+template <class T>
+std::vector<std::pair<index_t, index_t>> walk(const Tensor<T>& x,
+                                              std::size_t n) {
+  std::vector<std::pair<index_t, index_t>> steps;
+  tucker::tensor::for_each_unfolding_step(x, n, [&](const auto& st) {
+    steps.emplace_back(st.cols(), st.npieces);
+  });
+  return steps;
+}
+
+/// Runs expect_sketch_chains on mode n of a random tensor of `dims`, in
+/// fp32 and fp64, after checking that the walk takes `nsteps` steps.
+void expect_sketch_chains(const Dims& dims, std::size_t n,
+                          std::size_t nsteps) {
+  const auto x32 = tucker::data::random_tensor<float>(dims, 501);
+  ASSERT_EQ(walk(x32, n).size(), nsteps);
+  expect_sketch_chains(x32, n);
+  expect_sketch_chains(tucker::data::random_tensor<double>(dims, 502), n);
+}
+
+constexpr index_t kStep = tucker::tensor::detail::kSketchStep;
+
+TEST(SketchSteps, Mode0SeveralStepsWithRemainder) {
+  // Two full steps and a 448-column remainder; m = 37 spans several bands.
+  expect_sketch_chains({37, 2 * kStep / 64 + 7, 64}, 0, 3);
+}
+
+TEST(SketchSteps, MiddleModeNarrowBlocksShareSteps) {
+  // 45-column blocks, kStep / 45 per step: two full steps and one of 17.
+  const index_t per_step = kStep / 45;
+  const Dims dims{45, 37, 2 * per_step + 17};
+  const auto steps = walk(tucker::data::random_tensor<float>(dims, 501), 1);
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_EQ(steps[0].second, per_step);
+  EXPECT_EQ(steps[2].second, 17);
+  expect_sketch_chains(dims, 1, 3);
+}
+
+TEST(SketchSteps, MiddleModeBlocksWiderThanAStep) {
+  // Two blocks of kStep + 404 columns: a full slice and a remainder each.
+  expect_sketch_chains({kStep + 404, 9, 2}, 1, 4);
+}
+
+TEST(SketchSteps, LastMode) {
+  // One block of 2 kStep + 808 columns.
+  expect_sketch_chains({2 * kStep / 8 + 101, 8, 11}, 2, 3);
+}
+
+TEST(SketchSteps, ThreeRowsBelowMicroTile) {
+  // m = 3 < MR in a middle mode, like video mode 2: 900-column blocks,
+  // kStep / 900 per step, with a remainder step.
+  const index_t per_step = kStep / 900;
+  expect_sketch_chains({30, 30, 3, 3 * per_step + 2}, 2, 4);
 }
 
 }  // namespace

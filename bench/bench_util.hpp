@@ -122,7 +122,6 @@ struct CaseResult {
   double makespan = 0;       // simulated parallel time (s)
   double compute = 0;        // slowest rank compute (s)
   double comm = 0;           // slowest rank comm (s)
-  double comm_hidden = 0;    // slowest rank: comm hidden behind compute (s)
   double lq_gram = 0;        // slowest rank: LQ or Gram regions (s)
   double svd_evd = 0;        // slowest rank: SVD or EVD regions (s)
   double ttm = 0;            // slowest rank: TTM regions (s)
@@ -160,7 +159,6 @@ inline void aggregate_regions(const mpi::RankStats& slowest, CaseResult* r) {
   add(slowest.region_comm);
   r->compute = slowest.compute_seconds;
   r->comm = slowest.comm_seconds;
-  r->comm_hidden = slowest.comm_hidden;
 }
 
 /// Runs one (method, precision) variant of parallel ST-HOSVD on `input`
@@ -172,49 +170,44 @@ CaseResult run_case_typed(const tensor::Tensor<double>& input,
                           const Dims& grid_dims, const TruncationSpec& spec,
                           SvdMethod method,
                           const std::vector<std::size_t>& order,
-                          bool reference_error, mpi::CostModel model,
-                          core::OverlapOptions overlap = {}) {
+                          bool reference_error) {
   auto x = data::round_tensor_to<T>(input);
   CaseResult result;
   const int p = dist::ProcessorGrid(grid_dims).total();
-  auto stats = mpi::Runtime::run(
-      p,
-      [&](mpi::Comm& world) {
-        dist::DistTensor<T> dt(world, dist::ProcessorGrid(grid_dims),
-                               x.dims());
-        dt.fill_from(x);
-        world.sync_cpu_clock();
-        world.breakdown().set_region("other");
-        auto res = core::par_sthosvd(dt, spec, method, order, {}, overlap);
-        if (world.rank() == 0) {
-          result.ranks = res.ranks;
-          result.order = res.order;
-          result.mode_sigmas.resize(res.mode_sigmas.size());
-          for (std::size_t n = 0; n < res.mode_sigmas.size(); ++n)
-            result.mode_sigmas[n].assign(res.mode_sigmas[n].begin(),
-                                         res.mode_sigmas[n].end());
-        }
-        if (reference_error) {
-          auto tk = res.gather_to_root();
-          if (world.rank() == 0) {
-            result.compression = tk.compression_ratio();
-            // Reconstruct in working precision, compare in double.
-            tensor::Tensor<T> xhat = tk.reconstruct();
-            result.error = relative_error(input, xhat);
-          }
-        } else if (world.rank() == 0) {
-          // Compression from dimensions alone (no gather).
-          double full = 1, params = 1;
-          for (std::size_t n = 0; n < res.ranks.size(); ++n) {
-            full *= static_cast<double>(x.dim(n));
-            params *= static_cast<double>(res.ranks[n]);
-          }
-          for (std::size_t n = 0; n < res.ranks.size(); ++n)
-            params += static_cast<double>(x.dim(n) * res.ranks[n]);
-          result.compression = full / params;
-        }
-      },
-      model);
+  auto stats = mpi::Runtime::run(p, [&](mpi::Comm& world) {
+    dist::DistTensor<T> dt(world, dist::ProcessorGrid(grid_dims), x.dims());
+    dt.fill_from(x);
+    world.sync_cpu_clock();
+    world.breakdown().set_region("other");
+    auto res = core::par_sthosvd(dt, spec, method, order);
+    if (world.rank() == 0) {
+      result.ranks = res.ranks;
+      result.order = res.order;
+      result.mode_sigmas.resize(res.mode_sigmas.size());
+      for (std::size_t n = 0; n < res.mode_sigmas.size(); ++n)
+        result.mode_sigmas[n].assign(res.mode_sigmas[n].begin(),
+                                     res.mode_sigmas[n].end());
+    }
+    if (reference_error) {
+      auto tk = res.gather_to_root();
+      if (world.rank() == 0) {
+        result.compression = tk.compression_ratio();
+        // Reconstruct in working precision, compare in double.
+        tensor::Tensor<T> xhat = tk.reconstruct();
+        result.error = relative_error(input, xhat);
+      }
+    } else if (world.rank() == 0) {
+      // Compression from dimensions alone (no gather).
+      double full = 1, params = 1;
+      for (std::size_t n = 0; n < res.ranks.size(); ++n) {
+        full *= static_cast<double>(x.dim(n));
+        params *= static_cast<double>(res.ranks[n]);
+      }
+      for (std::size_t n = 0; n < res.ranks.size(); ++n)
+        params += static_cast<double>(x.dim(n) * res.ranks[n]);
+      result.compression = full / params;
+    }
+  });
   result.makespan = stats.makespan();
   result.total_flops = stats.total_flops();
   result.total_bytes = stats.total_bytes();
@@ -226,14 +219,12 @@ inline CaseResult run_case(const tensor::Tensor<double>& input,
                            const Dims& grid_dims, const TruncationSpec& spec,
                            const Variant& variant,
                            const std::vector<std::size_t>& order,
-                           bool reference_error = true,
-                           mpi::CostModel model = mpi::CostModel{},
-                           core::OverlapOptions overlap = {}) {
+                           bool reference_error = true) {
   return variant.single
              ? run_case_typed<float>(input, grid_dims, spec, variant.method,
-                                     order, reference_error, model, overlap)
+                                     order, reference_error)
              : run_case_typed<double>(input, grid_dims, spec, variant.method,
-                                      order, reference_error, model, overlap);
+                                      order, reference_error);
 }
 
 // -------------------------------------------------------------- printing

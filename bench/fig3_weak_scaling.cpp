@@ -6,7 +6,8 @@
 // by construction, exactly as in the paper.
 //
 // Reported per variant and k: simulated time, GFLOPS/rank
-// (= flops/rank / makespan), and the time breakdown. Expected shape
+// (= flops/rank / makespan), the time breakdown, then the mode order and
+// the per-mode breakdown of the slowest rank. Expected shape
 // (Fig 3): times ordered Gram single < QR single < Gram double < QR double;
 // QR performs ~2x the Gram flops but achieves a comparable rate; per-rank
 // rate declines gently with k (growing unfolding width shifts work, and the
@@ -55,19 +56,6 @@ int main(int argc, char** argv) {
                   v.name, res.makespan, gflops_rank,
                   static_cast<double>(res.total_flops), res.lq_gram,
                   res.svd_evd, res.ttm, res.comm);
-      // Same variant with the nonblocking/overlapped driver: identical
-      // results (window stays 1 for the deterministic engines), but comm
-      // that the overlap hides behind compute comes off the makespan.
-      tucker::core::OverlapOptions ov;
-      ov.enabled = true;
-      auto ores = run_case(x, grid, spec, v, order, /*reference_error=*/false,
-                           tucker::mpi::CostModel{}, ov);
-      const double exposed = ores.comm;
-      const double hidden = ores.comm_hidden;
-      const double pct_hidden =
-          hidden + exposed > 0 ? 100.0 * hidden / (hidden + exposed) : 0.0;
-      std::printf("  %-12s overlap time=%8.4fs  comm hidden=%.4fs (%.1f%%)\n",
-                  "", ores.makespan, hidden, pct_hidden);
       std::printf("  %-12s order %s  %s\n", "",
                   order_to_string(res.order).c_str(),
                   mode_breakdown_string(res).c_str());

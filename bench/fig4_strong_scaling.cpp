@@ -12,114 +12,23 @@
 // flatten when local blocks get small (latency-bound); ordering
 // QR double > Gram double > QR single > Gram single; QR single beats
 // Gram double (the paper's headline speedup).
+//
+// Prints Table 1, the strong-scaling table and the per-mode breakdown at
+// the largest P; writes no file. Every run is the blocking par_sthosvd,
+// the paper's schedule of TuckerMPI collectives.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 
 using namespace tucker::bench;
 
-namespace {
-
-// ----------------------------------------------- overlap compare gate
-//
-// The overlap sweep below (blocking vs nonblocking driver, Rand engine)
-// writes one JSON object per rank count to BENCH_overlap.json; --compare
-// re-runs the sweep and gates on the committed baseline, exactly like
-// stream_sthosvd's stream-regression check.
-
-struct OverlapRow {
-  int p;
-  double blocking_s;
-  double overlap_s;
-  double hidden_s;
-};
-
-struct BaselineRow {
-  int p;
-  double overlap_s;
-};
-
-// Parses the rows of a BENCH_overlap.json written below (one object per
-// line); only the gate's keys are read.
-std::vector<BaselineRow> load_baseline(const std::string& path) {
-  std::vector<BaselineRow> rows;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return rows;
-  char line[512];
-  while (std::fgets(line, sizeof(line), f)) {
-    BaselineRow r{};
-    const char* p = std::strstr(line, "\"p\": ");
-    const char* s = std::strstr(line, "\"overlap_seconds\": ");
-    if (!p || !s) continue;
-    if (std::sscanf(p, "\"p\": %d", &r.p) != 1) continue;
-    if (std::sscanf(s, "\"overlap_seconds\": %lf", &r.overlap_s) != 1)
-      continue;
-    rows.push_back(r);
-  }
-  std::fclose(f);
-  return rows;
-}
-
-// fail_under <= 0 disables the gate; otherwise any matched rank count whose
-// baseline/new overlapped-time ratio falls below it makes the run fail
-// (exit 2) -- the CI overlap-regression check.
-int run_compare(const std::vector<OverlapRow>& rows, const std::string& path,
-                double fail_under) {
-  const auto base = load_baseline(path);
-  if (base.empty()) {
-    std::fprintf(stderr, "no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("%6s | %9s %9s | %7s\n", "P", "base s", "new s", "ratio");
-  int matched = 0;
-  double worst = 1e300;
-  for (const auto& r : rows) {
-    const BaselineRow* b = nullptr;
-    for (const auto& cand : base)
-      if (cand.p == r.p) b = &cand;
-    if (!b) continue;
-    ++matched;
-    const double ratio = b->overlap_s / r.overlap_s;  // >1 = new is faster
-    worst = std::min(worst, ratio);
-    std::printf("%6d | %9.4f %9.4f | %6.2fx\n", r.p, b->overlap_s,
-                r.overlap_s, ratio);
-  }
-  if (matched == 0) {
-    std::fprintf(stderr, "no rows matched the baseline schema\n");
-    return 1;
-  }
-  std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
-  if (fail_under > 0 && worst < fail_under) {
-    std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n",
-                 worst, fail_under);
-    return 2;
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Args args(argc, argv);
   const auto d = static_cast<index_t>(args.geti("dim", 48));
   const auto r = static_cast<index_t>(args.geti("rank", 6));
   const long pmax = args.geti("pmax", 64);
-  std::string json_path = "BENCH_overlap.json";
-  std::string compare_path;
-  double fail_under = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-    if (std::strcmp(argv[i], "--compare") == 0)
-      compare_path = "BENCH_overlap.json";
-    if (std::strncmp(argv[i], "--compare=", 10) == 0)
-      compare_path = argv[i] + 10;
-    if (std::strncmp(argv[i], "--fail-under=", 13) == 0)
-      fail_under = std::atof(argv[i] + 13);
-  }
 
   // Table 1 analogue: doubling grids, QR front-loaded / Gram back-loaded.
   struct Row {
@@ -189,73 +98,5 @@ int main(int argc, char** argv) {
               "peak than MKL's; the ordering of the other variants holds "
               "(EXPERIMENTS.md).\n");
   print_rule();
-
-  // --- communication/compute overlap sweep -------------------------------
-  //
-  // Blocking vs nonblocking driver with the Rand engine and a mode window
-  // of 2 (mode-parallel sketching), on a latency-rich interconnect point
-  // (--alpha): the regime where the strong-scaling curves above flatten and
-  // which the overlap exists to attack. Expected crossover: at small P the
-  // windowed sketches' extra flops (later window members sketch the
-  // not-yet-truncated source) cost more than the hidden latency is worth;
-  // at large P the log-P latency chain dominates and overlap wins.
-  // "hidden" is the comm the slowest rank retired behind compute.
-  const double oalpha = args.get("alpha", 1e-3);
-  const long window = args.geti("window", 2);
-  tucker::mpi::CostModel net;
-  net.alpha = oalpha;
-  std::printf("overlap sweep: Rand double, window=%ld, alpha=%.1e\n", window,
-              oalpha);
-  std::printf("%6s %14s %14s %10s %10s %8s\n", "P", "blocking(s)",
-              "overlap(s)", "saved", "hidden(s)", "hidden%");
-  std::vector<OverlapRow> orows;
-  const auto oorder = tucker::core::forward_order(4);
-  for (const auto& row : table) {
-    if (row.p > pmax) break;
-    auto blk = run_case_typed<double>(x, row.gram, spec, SvdMethod::kRand,
-                                      oorder, /*reference_error=*/false, net);
-    tucker::core::OverlapOptions ov;
-    ov.enabled = true;
-    ov.mode_window = static_cast<index_t>(window);
-    auto ovl = run_case_typed<double>(x, row.gram, spec, SvdMethod::kRand,
-                                      oorder, /*reference_error=*/false, net,
-                                      ov);
-    const double exposed = ovl.comm;
-    const double pct =
-        ovl.comm_hidden + exposed > 0
-            ? 100.0 * ovl.comm_hidden / (ovl.comm_hidden + exposed)
-            : 0.0;
-    std::printf("%6d %14.4f %14.4f %9.1f%% %10.4f %7.1f%%\n", row.p,
-                blk.makespan, ovl.makespan,
-                100.0 * (1.0 - ovl.makespan / blk.makespan), ovl.comm_hidden,
-                pct);
-    orows.push_back({row.p, blk.makespan, ovl.makespan, ovl.comm_hidden});
-  }
-  print_rule();
-
-  if (!compare_path.empty()) {
-    const int rc = run_compare(orows, compare_path, fail_under);
-    if (rc != 0) return rc;
-  } else {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"dims\": \"%ld^4\",\n  \"window\": %ld,\n"
-                 "  \"alpha\": %.3e,\n  \"results\": [\n",
-                 static_cast<long>(d), window, oalpha);
-    for (std::size_t i = 0; i < orows.size(); ++i) {
-      const auto& o = orows[i];
-      std::fprintf(f,
-                   "    {\"p\": %d, \"blocking_seconds\": %.6f, "
-                   "\"overlap_seconds\": %.6f, \"hidden_seconds\": %.6f}%s\n",
-                   o.p, o.blocking_s, o.overlap_s, o.hidden_s,
-                   i + 1 < orows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu rows)\n", json_path.c_str(), orows.size());
-  }
   return 0;
 }

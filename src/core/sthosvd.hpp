@@ -152,28 +152,6 @@ inline double modeled_sthosvd_flops(const tensor::Dims& dims,
   return total;
 }
 
-/// Communication/compute overlap knobs of the distributed (simmpi) driver.
-/// The sequential driver ignores them. `enabled` switches par_sthosvd to
-/// the overlapped schedule: piecewise nonblocking Gram allreduces, the
-/// direct-exchange TTM reduce-scatter, and (for SvdMethod::kRand) windowed
-/// mode-parallel sketching. With mode_window == 1 the overlapped schedule
-/// computes bitwise-identical results to the blocking one -- same
-/// reduction trees, same summation order, only the virtual-clock credit
-/// differs. mode_window > 1 sketches that many modes concurrently from the
-/// frozen window-source tensor (the mode-parallel randomized variant of
-/// Minster/Li/Ballard, arXiv:2211.13028): deterministic and certified by
-/// the same tail-energy machinery, but no longer the sequential ST-HOSVD
-/// iterate sequence.
-struct OverlapOptions {
-  bool enabled = false;
-  /// Modes sketched concurrently per window (kRand only; clamped to the
-  /// number of remaining modes).
-  index_t mode_window = 1;
-  /// Row-chunks the replicated Gram allreduce is split into so the
-  /// binomial trees pipeline (kGram only; clamped to the matrix size).
-  index_t gram_pieces = 4;
-};
-
 /// Driver options beyond the truncation spec. An explicit `order` wins;
 /// otherwise `auto_order` picks the greedy cost-model order (fixed-rank
 /// specs use their target ranks, tolerance specs use `rank_estimates` or a
@@ -185,7 +163,6 @@ struct SthosvdOptions {
   bool auto_order = false;
   std::vector<index_t> rank_estimates;
   RandSvdOptions rand;
-  OverlapOptions overlap;
 };
 
 inline std::vector<std::size_t> resolve_order(const tensor::Dims& dims,

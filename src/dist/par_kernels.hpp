@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,7 @@ namespace detail {
 
 /// Packs the lower triangle (including diagonal) of an m x m matrix.
 template <class T>
-void pack_lower(const blas::Matrix<T>& l, std::vector<T>& buf) {
+void pack_lower(blas::MatView<T> l, std::vector<T>& buf) {
   const index_t m = l.rows();
   buf.resize(static_cast<std::size_t>(m * (m + 1) / 2));
   std::size_t k = 0;
@@ -42,7 +41,7 @@ void pack_lower(const blas::Matrix<T>& l, std::vector<T>& buf) {
 }
 
 template <class T>
-void unpack_lower(const std::vector<T>& buf, blas::Matrix<T>& l) {
+void unpack_lower(const std::vector<T>& buf, blas::MatView<T> l) {
   const index_t m = l.rows();
   std::size_t k = 0;
   for (index_t i = 0; i < m; ++i) {
@@ -55,9 +54,9 @@ void unpack_lower(const std::vector<T>& buf, blas::Matrix<T>& l) {
 /// second]), exploiting that both blocks are triangular (paper Sec 3.4).
 /// `second` is destroyed (overwritten with reflectors).
 template <class T>
-void merge_triangles(blas::Matrix<T>& first, blas::Matrix<T>& second) {
+void merge_triangles(blas::MatView<T> first, blas::MatView<T> second) {
   std::vector<T> tau;
-  la::tplqt(first.view(), second.view(), tau, la::Pentagon::kTriangular);
+  la::tplqt(first, second, tau, la::Pentagon::kTriangular);
   // Clear any reflector fill above the diagonal is unnecessary: tplqt only
   // writes the lower triangle of `first`.
 }
@@ -66,8 +65,14 @@ void merge_triangles(blas::Matrix<T>& first, blas::Matrix<T>& second) {
 /// factors: on return every rank of `comm` holds the triangular factor of
 /// the stacked global matrix. Non-power-of-two sizes fold the excess ranks
 /// into the largest power-of-two subset first and fan the result back out.
+///
+/// The QR orientation (the upper factor R of vertically stacked blocks)
+/// passes the transposed view R^T. The work triangle takes the same
+/// orientation, so every merge is tpqrt on R's own storage and strides:
+/// blas1's dot and nrm2 sum in a different order at unit stride, so a
+/// transposed copy would move bits.
 template <class T>
-void butterfly_lq_reduce(blas::Matrix<T>& l, mpi::Comm& comm) {
+void butterfly_lq_reduce(blas::MatView<T> l, mpi::Comm& comm) {
   const int p = comm.size();
   if (p == 1) return;
   const index_t m = l.rows();
@@ -77,7 +82,9 @@ void butterfly_lq_reduce(blas::Matrix<T>& l, mpi::Comm& comm) {
 
   std::vector<T> sendbuf, recvbuf;
   const std::int64_t tlen = m * (m + 1) / 2;
-  blas::Matrix<T> other(m, m);
+  blas::Matrix<T> work(m, m);
+  const blas::MatView<T> other =
+      l.col_stride() == 1 ? work.view() : work.view().t();
 
   constexpr int kFoldTag = 901, kUnfoldTag = 902, kStepTag = 910;
 
@@ -110,7 +117,7 @@ void butterfly_lq_reduce(blas::Matrix<T>& l, mpi::Comm& comm) {
       // Both partners compute LQ([L_low L_high]) so the reduction yields a
       // bitwise-identical factor everywhere.
       merge_triangles(other, l);
-      l = other;
+      blas::copy(blas::MatView<const T>(other), l);
     }
   }
 
@@ -120,93 +127,10 @@ void butterfly_lq_reduce(blas::Matrix<T>& l, mpi::Comm& comm) {
   }
 }
 
-/// Packs the upper triangle (including diagonal) of an m x m matrix.
+/// The LQ orientation on a whole matrix.
 template <class T>
-void pack_upper(const blas::Matrix<T>& r, std::vector<T>& buf) {
-  const index_t m = r.rows();
-  buf.resize(static_cast<std::size_t>(m * (m + 1) / 2));
-  std::size_t k = 0;
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = i; j < m; ++j) buf[k++] = r(i, j);
-}
-
-template <class T>
-void unpack_upper(const std::vector<T>& buf, blas::Matrix<T>& r) {
-  const index_t m = r.rows();
-  std::size_t k = 0;
-  for (index_t i = 0; i < m; ++i) {
-    for (index_t j = 0; j < i; ++j) r(i, j) = T(0);
-    for (index_t j = i; j < m; ++j) r(i, j) = buf[k++];
-  }
-}
-
-/// Merges two upper-triangular factors: first <- R factor of QR([first;
-/// second]), exploiting that both blocks are triangular -- the transpose
-/// twin of merge_triangles for the tall-skinny (QR) orientation. `second`
-/// is destroyed (overwritten with reflectors).
-template <class T>
-void merge_triangles_qr(blas::Matrix<T>& first, blas::Matrix<T>& second) {
-  std::vector<T> tau;
-  la::tpqrt(first.view(), second.view(), tau, la::Pentagon::kTriangular);
-}
-
-/// Butterfly (all-reduce style) TSQR reduction over upper-triangular
-/// factors: on return every rank of `comm` holds the triangular factor of
-/// the vertically stacked global matrix. Structure mirrors
-/// butterfly_lq_reduce exactly (excess-rank fold to the power-of-two
-/// subset, both partners merging in world-rank order for bitwise
-/// identity); only the triangle orientation and the merge kernel differ.
-template <class T>
-void butterfly_qr_reduce(blas::Matrix<T>& r, mpi::Comm& comm) {
-  const int p = comm.size();
-  if (p == 1) return;
-  const index_t m = r.rows();
-  const int rank = comm.rank();
-  int pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-
-  std::vector<T> sendbuf, recvbuf;
-  const std::int64_t tlen = m * (m + 1) / 2;
-  blas::Matrix<T> other(m, m);
-
-  constexpr int kFoldTag = 903, kUnfoldTag = 904, kStepTag = 930;
-
-  if (rank >= pof2) {
-    pack_upper(r, sendbuf);
-    comm.send(rank - pof2, sendbuf.data(), tlen, kFoldTag);
-    recvbuf.resize(static_cast<std::size_t>(tlen));
-    comm.recv(rank - pof2, recvbuf.data(), tlen, kUnfoldTag);
-    unpack_upper(recvbuf, r);
-    return;
-  }
-  if (rank + pof2 < p) {
-    recvbuf.resize(static_cast<std::size_t>(tlen));
-    comm.recv(rank + pof2, recvbuf.data(), tlen, kFoldTag);
-    unpack_upper(recvbuf, other);
-    merge_triangles_qr(r, other);  // lower world-rank's factor goes first
-  }
-
-  for (int mask = 1, step = 0; mask < pof2; mask <<= 1, ++step) {
-    const int partner = rank ^ mask;
-    pack_upper(r, sendbuf);
-    recvbuf.resize(static_cast<std::size_t>(tlen));
-    comm.sendrecv(partner, sendbuf.data(), tlen, recvbuf.data(), tlen,
-                  kStepTag + step);
-    unpack_upper(recvbuf, other);
-    if (rank < partner) {
-      merge_triangles_qr(r, other);
-    } else {
-      // Both partners compute QR([R_low; R_high]) so the reduction yields a
-      // bitwise-identical factor everywhere.
-      merge_triangles_qr(other, r);
-      r = other;
-    }
-  }
-
-  if (rank + pof2 < p) {
-    pack_upper(r, sendbuf);
-    comm.send(rank + pof2, sendbuf.data(), tlen, kUnfoldTag);
-  }
+void butterfly_lq_reduce(blas::Matrix<T>& l, mpi::Comm& comm) {
+  butterfly_lq_reduce(l.view(), comm);
 }
 
 /// R factor (w x w, replicated over `fiber`) of the tall-skinny matrix
@@ -229,7 +153,7 @@ blas::Matrix<T> tsqr_r_factor(blas::MatView<const T> slab, mpi::Comm& fiber) {
     for (index_t i = 0; i < k; ++i)
       for (index_t j = i; j < w; ++j) r(i, j) = a(i, j);
   }
-  butterfly_qr_reduce(r, fiber);
+  butterfly_lq_reduce(r.view().t(), fiber);
   return r;
 }
 
@@ -320,16 +244,8 @@ class GlobalColMap {
 /// Gram matrix of the global mode-n unfolding, replicated on every rank:
 /// local syrk (after fiber redistribution when P_n > 1) plus a world
 /// allreduce. This is TuckerMPI's kernel; its cost is n*m^2 local flops.
-///
-/// `pieces` > 1 splits the m*m allreduce into that many row-chunks posted
-/// as nonblocking iallreduces and waited together: each element still
-/// travels the identical binomial tree in the identical summation order
-/// (bitwise-identical result), but the chunks' trees pipeline through the
-/// injection pipe instead of serializing round by round, shortening the
-/// modeled critical path at large P.
 template <class T>
-blas::Matrix<T> par_gram(const DistTensor<T>& y, std::size_t n,
-                         index_t pieces = 1) {
+blas::Matrix<T> par_gram(const DistTensor<T>& y, std::size_t n) {
   const index_t m = y.global_dim(n);
   blas::Matrix<T> g(m, m);
   if (y.grid().dim(n) == 1) {
@@ -340,21 +256,7 @@ blas::Matrix<T> par_gram(const DistTensor<T>& y, std::size_t n,
       blas::syrk(T(1), static_cast<blas::MatView<const T>>(z.view()), T(0),
                  g.view());
   }
-  pieces = std::max<index_t>(1, std::min(pieces, std::max<index_t>(m, 1)));
-  if (pieces <= 1) {
-    y.world().allreduce(g.data(), m * m, mpi::Op::kSum);
-  } else {
-    std::vector<mpi::Request> reqs;
-    reqs.reserve(static_cast<std::size_t>(pieces));
-    for (index_t i = 0; i < pieces; ++i) {
-      const index_t r0 = i * m / pieces;
-      const index_t r1 = (i + 1) * m / pieces;
-      if (r1 > r0)
-        reqs.push_back(y.world().iallreduce(g.data() + r0 * m, (r1 - r0) * m,
-                                            mpi::Op::kSum));
-    }
-    mpi::Comm::waitall(reqs);
-  }
+  y.world().allreduce(g.data(), m * m, mpi::Op::kSum);
   y.world().sync_cpu_clock();  // attribute trailing compute to this region
   return g;
 }
@@ -396,14 +298,9 @@ blas::Matrix<T> par_tensor_lq(const DistTensor<T>& y, std::size_t n) {
 /// R). `out` must share x's grid (an empty_clone or a previous output) and
 /// is re-dimensioned in place, so cycling the same out through repeated
 /// truncations reuses its local allocation.
-///
-/// `overlap` selects the direct-exchange reduce-scatter (bitwise-identical
-/// fold order, pipelined sends -- see Comm::reduce_scatter) for the fiber
-/// reduction.
 template <class T>
 void par_ttm_truncate_into(const DistTensor<T>& x, std::size_t n,
-                           blas::MatView<const T> u, DistTensor<T>& out,
-                           bool overlap = false) {
+                           blas::MatView<const T> u, DistTensor<T>& out) {
   TUCKER_CHECK(u.rows() == x.global_dim(n), "par_ttm: U row mismatch");
   TUCKER_CHECK(&x != &out, "par_ttm: x and out must be distinct");
   const index_t r = u.cols();
@@ -445,7 +342,7 @@ void par_ttm_truncate_into(const DistTensor<T>& x, std::size_t n,
         }
       }
     }
-    fiber.reduce_scatter(sendbuf.data(), out.local().data(), counts, overlap);
+    fiber.reduce_scatter(sendbuf.data(), out.local().data(), counts);
     return;
   }
 
@@ -471,11 +368,14 @@ DistTensor<T> par_ttm_truncate(const DistTensor<T>& x, std::size_t n,
   return out;
 }
 
-// The distributed randomized range-finder SVD is split into a dispatch
-// half (sketch + slice reduction) and a finalize half (everything after),
-// so the mode-parallel driver can keep several modes' sketches in flight;
-// par_rand_svd composes the two for the classic blocking call.
-//
+/// Distributed randomized range-finder SVD of the global mode-n unfolding
+/// (the parallel twin of core::rand_svd; same sketch algebra, same
+/// adaptive-oversampling loop, same trailing-residual convention). Returns
+/// the sketched spectrum (w squared singular values plus the trailing
+/// residual pseudo-entry, see core::rand_svd) and the m x w left basis,
+/// replicated. Compute regions are tagged label+"/Sketch" and
+/// label+"/SVD".
+///
 /// Communication pattern per round:
 ///  - Sketch: each rank multiplies its owned slab of the unfolding by its
 ///    rows of the global Omega (drawn locally via detail::GlobalColMap), and
@@ -497,142 +397,48 @@ DistTensor<T> par_ttm_truncate(const DistTensor<T>& x, std::size_t n,
 /// local kernel thread-invariant). Across *different* grids the allreduce
 /// summation order differs, so results match the sequential engine only to
 /// rounding -- the same contract as par_gram / par_tensor_lq.
-
-/// In-flight state of one mode's dispatched sketch: everything
-/// finalize_mode_sketch needs to resume where dispatch_mode_sketch left
-/// off. One of these is alive per window slot in the mode-parallel driver,
-/// so the first-round sketch slab is a plain vector (the Workspace arena's
-/// stack discipline cannot hold several interleaved lifetimes).
 template <class T>
-struct ModeSketchState {
-  std::size_t mode = 0;
-  std::string label;
-  // Engine/truncation parameters captured at dispatch.
-  index_t fixed_rank = 0;
-  double threshold_sq = 0;
-  index_t oversample = 0;
-  int power_iters = 0;
-  // Geometry of the dispatch-time source tensor.
-  index_t m = 0, mloc = 0, cols_glob = 0, cols_loc = 0, cap = 0, rows_lo = 0;
-  bool empty = false;
-  index_t w = 0;  // first-round sketch width
-  double norm_sq = 0;
-  std::uint64_t stream = 0;
-  std::optional<detail::GlobalColMap> colmap;
-  std::optional<mpi::Comm> slice;
-  std::vector<T> snew;  // mloc x w first-round sketch slab (reduced)
-  mpi::Request req;     // pending slice iallreduce (nonblocking dispatch)
-};
-
-/// Dispatch half of par_rand_svd: creates the slice communicator, draws
-/// the first-round sketch columns of the mode-n unfolding and starts their
-/// slice reduction -- as an iallreduce when `nonblocking` (the buffer is
-/// already reduced on return; its modeled time is credited when
-/// finalize_mode_sketch waits the request), or as the classic blocking
-/// allreduce otherwise. Collective over y.world() either way, so the
-/// mode-parallel driver must dispatch window modes in the same order on
-/// every rank.
-///
-/// `known_norm_sq` short-circuits the ||Y||^2 allreduce when the caller
-/// already holds it: a window of dispatches shares one frozen source, so
-/// the driver computes the norm once and passes it to every member --
-/// otherwise the per-dispatch blocking allreduce would serialize the very
-/// reductions the window is trying to overlap. The value is identical
-/// either way (same tensor), so results are unchanged bitwise.
-template <class T>
-void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
-                          index_t fixed_rank, double threshold_sq,
-                          index_t oversample, int power_iters,
-                          std::uint64_t seed, index_t rank_guess,
-                          const std::string& label, bool nonblocking,
-                          ModeSketchState<T>& st,
-                          const double* known_norm_sq = nullptr) {
+core::ModeSvd<T> par_rand_svd(const DistTensor<T>& y, std::size_t n,
+                              index_t fixed_rank, double threshold_sq,
+                              index_t oversample, int power_iters,
+                              std::uint64_t seed, index_t rank_guess,
+                              const std::string& label) {
   mpi::Comm& world = y.world();
-  st.mode = n;
-  st.label = label;
-  st.fixed_rank = fixed_rank;
-  st.threshold_sq = threshold_sq;
-  st.oversample = oversample;
-  st.power_iters = power_iters;
   // Ranks sharing my mode-n coordinate hold the same rows of the unfolding
   // but different column sets: their partials sum over this communicator.
-  st.slice.emplace(
-      world.split(static_cast<int>(y.coords()[n]), world.rank()));
+  mpi::Comm slice =
+      world.split(static_cast<int>(y.coords()[n]), world.rank());
 
-  st.m = y.global_dim(n);
-  st.cols_glob = 1;
-  for (std::size_t k = 0; k < y.order(); ++k)
-    if (k != n) st.cols_glob *= y.global_dim(k);
-  if (st.m == 0 || st.cols_glob == 0) {
-    st.empty = true;
-    return;
-  }
-  const Range rows = y.mode_range(n);
-  st.rows_lo = rows.lo;
-  st.mloc = rows.size();
-  st.cols_loc = tensor::prod_before(y.local().dims(), n) *
-                tensor::prod_after(y.local().dims(), n);
-  st.cap = std::min(st.m, st.cols_glob);
-  const index_t p = std::max<index_t>(oversample, 0);
-  index_t w;
-  if (fixed_rank > 0) {
-    w = std::min(st.cap, fixed_rank + p);
-  } else {
-    const index_t guess =
-        rank_guess > 0 ? rank_guess : std::max<index_t>(8, st.m / 8);
-    w = std::min(st.cap, guess + p);
-  }
-  st.w = std::max<index_t>(w, 1);
-
-  st.norm_sq = known_norm_sq ? *known_norm_sq : y.norm_squared();
-  st.stream = substream(seed, n);
-  st.colmap.emplace(y, n);
-
-  auto rg = world.region(label + "/Sketch");
-  st.snew.assign(
-      static_cast<std::size_t>(std::max<index_t>(st.mloc, 1) * st.w), T(0));
-  auto snew = blas::MatView<T>::row_major(st.snew.data(), st.mloc, st.w);
-  tensor::sketch_unfolding_cols(y.local(), n, st.stream, 0, st.w, *st.colmap,
-                                snew);
-  if (nonblocking)
-    st.req =
-        st.slice->iallreduce(st.snew.data(), st.mloc * st.w, mpi::Op::kSum);
-  else
-    st.slice->allreduce(st.snew.data(), st.mloc * st.w, mpi::Op::kSum);
-  world.sync_cpu_clock();
-}
-
-/// Finalize half of par_rand_svd: waits the dispatched sketch reduction,
-/// then runs the power iterations, TSQR orthonormalization, projected
-/// spectrum and (in tolerance mode) the adaptive width-doubling rounds --
-/// all against the SAME tensor the sketch was dispatched from. The
-/// collective sequence is identical to the historic single-call
-/// par_rand_svd, so dispatch+finalize back to back is bitwise-identical
-/// to it (and to itself across thread widths and reruns). Returns the
-/// sketched spectrum (w squared singular values plus the trailing residual
-/// pseudo-entry, see core::rand_svd) and the m x w left basis, replicated.
-template <class T>
-core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
-                                      ModeSketchState<T>& st) {
-  mpi::Comm& world = y.world();
   core::ModeSvd<T> out;
-  if (st.empty) {
-    out.u = blas::Matrix<T>(st.m, 0);
+  const index_t m = y.global_dim(n);
+  index_t cols_glob = 1;
+  for (std::size_t k = 0; k < y.order(); ++k)
+    if (k != n) cols_glob *= y.global_dim(k);
+  if (m == 0 || cols_glob == 0) {
+    out.u = blas::Matrix<T>(m, 0);
     return out;
   }
-  mpi::Comm& fiber = y.fiber_comm(st.mode);
-  mpi::Comm& slice = *st.slice;
-  const std::size_t n = st.mode;
-  const std::string& label = st.label;
-  const index_t m = st.m;
-  const index_t mloc = st.mloc;
-  const index_t cols_loc = st.cols_loc;
-  const index_t cap = st.cap;
-  const index_t p = std::max<index_t>(st.oversample, 0);
-  const bool fixed = st.fixed_rank > 0;
-  const double norm_sq = st.norm_sq;
-  const double threshold_sq = st.threshold_sq;
-  index_t w = st.w;
+  mpi::Comm& fiber = y.fiber_comm(n);
+  const Range rows = y.mode_range(n);
+  const index_t mloc = rows.size();
+  const index_t cols_loc = tensor::prod_before(y.local().dims(), n) *
+                           tensor::prod_after(y.local().dims(), n);
+  const index_t cap = std::min(m, cols_glob);
+  const index_t p = std::max<index_t>(oversample, 0);
+  const bool fixed = fixed_rank > 0;
+  index_t w;
+  if (fixed) {
+    w = std::min(cap, fixed_rank + p);
+  } else {
+    const index_t guess =
+        rank_guess > 0 ? rank_guess : std::max<index_t>(8, m / 8);
+    w = std::min(cap, guess + p);
+  }
+  w = std::max<index_t>(w, 1);
+
+  const double norm_sq = y.norm_squared();
+  const std::uint64_t stream = substream(seed, n);
+  const detail::GlobalColMap colmap(y, n);
   using Step = tensor::detail::UnfoldingStep<T>;
 
   Workspace& ws = Workspace::local();
@@ -648,33 +454,23 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
       ws.get<T>(static_cast<std::size_t>(std::max<index_t>(mloc, 1) * cap));
 
   index_t wprev = 0;
-  bool first_round = true;
   for (;;) {
     std::vector<T> sigma_sq;
     blas::Matrix<T> v;
     auto qv = blas::MatView<T>::row_major(qdata, mloc, w);
     {
       auto rg = world.region(label + "/Sketch");
-      const index_t wnew = w - wprev;
-      if (first_round) {
-        // Land the dispatched first-round sketch: wait its in-flight
-        // reduction (a no-op after a blocking dispatch) and append.
-        st.req.wait();
-        if (mloc > 0)
-          blas::copy(
-              blas::MatView<const T>::row_major(st.snew.data(), mloc, w),
-              sall.block(0, 0, mloc, w));
-        first_round = false;
-      } else {
+      {
         // New Omega columns: local partial sketch (contiguous so the
         // collective can sum it), slice allreduce, append to the slab.
+        const index_t wnew = w - wprev;
         auto scratch = ws.frame();
         auto snew = blas::MatView<T>::row_major(
             ws.get<T>(static_cast<std::size_t>(std::max<index_t>(mloc, 1) *
                                                wnew)),
             mloc, wnew);
-        tensor::sketch_unfolding_cols(y.local(), n, st.stream, wprev, w,
-                                      *st.colmap, snew);
+        tensor::sketch_unfolding_cols(y.local(), n, stream, wprev, w, colmap,
+                                      snew);
         slice.allreduce(snew.data(), mloc * wnew, mpi::Op::kSum);
         if (mloc > 0)
           blas::copy(blas::MatView<const T>(snew),
@@ -683,7 +479,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
       auto wv = blas::MatView<T>::row_major(wdata, mloc, w);
       if (mloc > 0)
         blas::copy(blas::MatView<const T>(sall.block(0, 0, mloc, w)), wv);
-      for (int it = 0; it < st.power_iters; ++it) {
+      for (int it = 0; it < power_iters; ++it) {
         detail::tsqr_orthonormalize(wv, fiber, qv);
         auto scratch = ws.frame();
         auto z = blas::MatView<T>::row_major(
@@ -766,7 +562,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
       if (mloc > 0 && slice.rank() == 0) {
         blas::gemm(T(1), blas::MatView<const T>(qv),
                    blas::MatView<const T>(v.view()), T(0),
-                   out.u.view().block(st.rows_lo, 0, mloc, w));
+                   out.u.view().block(rows.lo, 0, mloc, w));
       }
       world.allreduce(out.u.data(), m * w, mpi::Op::kSum);
       world.sync_cpu_clock();
@@ -775,28 +571,6 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
     wprev = w;
     w = std::min(cap, 2 * w);
   }
-}
-
-/// Distributed randomized range-finder SVD of the global mode-n unfolding
-/// (the parallel twin of core::rand_svd; same sketch algebra, same
-/// adaptive-oversampling loop, same trailing-residual convention): a
-/// blocking dispatch_mode_sketch immediately finalized. See those two for
-/// the communication pattern; the determinism contract is unchanged --
-/// Omega is grid/thread-invariant, every collective bitwise-replicated,
-/// results bitwise-identical run to run and across TUCKER_NUM_THREADS for
-/// a fixed grid. Compute regions are tagged label+"/Sketch" and
-/// label+"/SVD".
-template <class T>
-core::ModeSvd<T> par_rand_svd(const DistTensor<T>& y, std::size_t n,
-                              index_t fixed_rank, double threshold_sq,
-                              index_t oversample, int power_iters,
-                              std::uint64_t seed, index_t rank_guess,
-                              const std::string& label) {
-  ModeSketchState<T> st;
-  dispatch_mode_sketch(y, n, fixed_rank, threshold_sq, oversample,
-                       power_iters, seed, rank_guess, label,
-                       /*nonblocking=*/false, st);
-  return finalize_mode_sketch(y, st);
 }
 
 }  // namespace tucker::dist

@@ -93,9 +93,8 @@ void Comm::send_bytes(int dst, std::int64_t tag, const void* data,
   box.cv.notify_all();
 }
 
-bool Comm::match_recv(int src_world, std::int64_t tag, void* data,
-                      std::int64_t bytes, bool nonblocking,
-                      double* ready_vtime) {
+double Comm::match_recv(int src_world, std::int64_t tag, void* data,
+                        std::int64_t bytes) {
   const int me_world = group_[static_cast<std::size_t>(rank_)];
   Mailbox& box = world_->box(me_world);
 
@@ -110,7 +109,6 @@ bool Comm::match_recv(int src_world, std::int64_t tag, void* data,
     };
     std::list<Mail>::iterator it = match();
     if (it == box.queue.end()) {
-      if (nonblocking) return false;
       if (world_->watchdog_enabled()) {
         // Register what we are stuck on, then poll: deliveries only happen
         // from running ranks, so once every rank is registered the world
@@ -132,25 +130,22 @@ bool Comm::match_recv(int src_world, std::int64_t tag, void* data,
                "recv: message size mismatch");
   if (bytes > 0)
     std::memcpy(data, mail.bytes.data(), static_cast<std::size_t>(bytes));
-  *ready_vtime = mail.ready_vtime;
-  return true;
+  return mail.ready_vtime;
 }
 
 void Comm::recv_bytes(int src, std::int64_t tag, void* data,
                       std::int64_t bytes) {
   TUCKER_CHECK(src >= 0 && src < size(), "recv: source out of range");
   sync_cpu_clock();
-  const int src_world = group_[static_cast<std::size_t>(src)];
-  double ready = 0;
-  match_recv(src_world, tag, data, bytes, /*nonblocking=*/false, &ready);
+  const double ready =
+      match_recv(group_[static_cast<std::size_t>(src)], tag, data, bytes);
 
   // The message is usable once the sender's (virtual) transfer completes;
   // an early receiver idles until then.
   RankState& st = world_->state(group_[static_cast<std::size_t>(rank_)]);
-  double* clk = st.alt_clock ? st.alt_clock : &st.vtime;
-  if (ready > *clk) {
-    if (!st.alt_clock) st.breakdown.charge_comm(ready - *clk);
-    *clk = ready;
+  if (ready > st.vtime) {
+    st.breakdown.charge_comm(ready - st.vtime);
+    st.vtime = ready;
   }
 }
 
@@ -164,16 +159,14 @@ Request Comm::isend_bytes(int dst, std::int64_t tag, const void* data,
   // The hidden-credit span starts where the message can actually enter the
   // network: queueing behind the rank's own earlier injections is not
   // overlap (it would count the same wire time twice).
-  const double now = st.alt_clock ? *st.alt_clock : st.vtime;
-  req.post_vtime_ = std::max(now, st.inject_busy_until);
+  req.post_vtime_ = std::max(st.vtime, st.inject_busy_until);
 
   // The payload is delivered eagerly; only its modeled time runs on the
   // request's shadow clock, surfaced at wait().
-  double shadow = now;
-  double* saved = st.alt_clock;
+  double shadow = st.vtime;
   st.alt_clock = &shadow;
   send_bytes(dst, tag, data, bytes);
-  st.alt_clock = saved;
+  st.alt_clock = nullptr;
   req.completion_ = shadow;
   return req;
 }
@@ -190,32 +183,6 @@ Request Comm::irecv_bytes(int src, std::int64_t tag, void* data,
   req.tag_ = tag;
   req.data_ = data;
   req.bytes_ = bytes;
-  return req;
-}
-
-Request Comm::iallreduce_bytes(
-    void* data, std::int64_t bytes,
-    const std::function<void(void*, const void*)>& combine) {
-  sync_cpu_clock();
-  RankState& st = world_->state(group_[static_cast<std::size_t>(rank_)]);
-  Request req;
-  req.comm_ = this;
-  req.kind_ = Request::Kind::kColl;
-  // As with isend: time spent queued behind this rank's earlier injections
-  // is not credited as hidden overlap.
-  req.post_vtime_ = std::max(st.vtime, st.inject_busy_until);
-
-  // Execute the exact blocking reduction tree eagerly (the buffer is fully
-  // reduced, bitwise-identical, when this returns) with its message costs
-  // on a shadow clock. Combine flops are real CPU work and stay on the
-  // rank clock via the sync_cpu_clock calls inside.
-  double shadow = st.vtime;
-  TUCKER_CHECK(st.alt_clock == nullptr,
-               "iallreduce posted inside another posted operation");
-  st.alt_clock = &shadow;
-  allreduce_bytes(data, bytes, combine);
-  world_->state(group_[static_cast<std::size_t>(rank_)]).alt_clock = nullptr;
-  req.completion_ = shadow;
   return req;
 }
 
@@ -239,28 +206,10 @@ void Request::wait() {
   if (kind_ == Kind::kNone) return;
   if (kind_ == Kind::kRecv) {
     comm_->sync_cpu_clock();
-    double ready = 0;
-    comm_->match_recv(src_world_, tag_, data_, bytes_, /*nonblocking=*/false,
-                      &ready);
-    completion_ = ready;
+    completion_ = comm_->match_recv(src_world_, tag_, data_, bytes_);
   }
   comm_->credit_completion(post_vtime_, completion_);
   kind_ = Kind::kNone;
-}
-
-bool Request::test() {
-  if (kind_ == Kind::kNone) return true;
-  if (kind_ == Kind::kRecv) {
-    comm_->sync_cpu_clock();
-    double ready = 0;
-    if (!comm_->match_recv(src_world_, tag_, data_, bytes_,
-                           /*nonblocking=*/true, &ready))
-      return false;
-    completion_ = ready;
-  }
-  comm_->credit_completion(post_vtime_, completion_);
-  kind_ = Kind::kNone;
-  return true;
 }
 
 void Comm::barrier() {
@@ -376,65 +325,6 @@ void Comm::reduce_scatter_bytes(
   if (byte_counts[me] > 0)
     std::memcpy(recvbuf, working.data() + displs[me],
                 static_cast<std::size_t>(byte_counts[me]));
-}
-
-void Comm::reduce_scatter_overlap_bytes(
-    const void* data, void* recvbuf,
-    const std::vector<std::int64_t>& byte_counts,
-    const std::function<void(void*, const void*, std::int64_t)>& add_range) {
-  // Overlap variant of the ring reduce-scatter: every rank isends its
-  // partial of block b straight to b's owner, then folds the received
-  // partials in *exactly the ring's accumulation order* -- starting from
-  // rank me+1's partial, folding each subsequent rank's partial over the
-  // accumulator (new += acc, the ring's add direction), own partial last.
-  // Same bytes and message count as the ring, bitwise-identical result;
-  // but the sends pipeline through the injection pipe instead of
-  // lockstepping on each hop's arrival, and their modeled time can hide
-  // behind the fold compute and behind compute preceding the call.
-  const int p = size();
-  TUCKER_CHECK(static_cast<int>(byte_counts.size()) == p,
-               "reduce_scatter: need one count per rank");
-  std::vector<std::int64_t> displs(byte_counts.size() + 1, 0);
-  for (std::size_t i = 0; i < byte_counts.size(); ++i)
-    displs[i + 1] = displs[i] + byte_counts[i];
-  const std::int64_t total = displs.back();
-  const auto me = static_cast<std::size_t>(rank_);
-
-  if (p == 1) {
-    if (total > 0) std::memcpy(recvbuf, data, static_cast<std::size_t>(total));
-    return;
-  }
-
-  const std::int64_t base = next_coll_tag();
-  const auto* in = static_cast<const std::byte*>(data);
-
-  std::vector<Request> sends;
-  sends.reserve(static_cast<std::size_t>(p - 1));
-  for (int s = 1; s < p; ++s) {
-    const auto dst = static_cast<std::size_t>((rank_ + s) % p);
-    sends.push_back(isend_bytes(static_cast<int>(dst), base - 1,
-                                in + displs[dst], byte_counts[dst]));
-  }
-
-  const std::int64_t mine = byte_counts[me];
-  std::vector<std::byte> acc(static_cast<std::size_t>(mine));
-  std::vector<std::byte> tmp(static_cast<std::size_t>(mine));
-  std::byte* accp = acc.data();
-  std::byte* tmpp = tmp.data();
-  for (int s = 1; s < p; ++s) {
-    const int src = (rank_ + s) % p;
-    Request r = irecv_bytes(src, base - 1, s == 1 ? accp : tmpp, mine);
-    r.wait();
-    if (s > 1 && mine > 0) {
-      add_range(tmpp, accp, mine);  // new partial += accumulator (ring order)
-      std::swap(accp, tmpp);
-    }
-  }
-  if (mine > 0) {
-    std::memcpy(recvbuf, in + displs[me], static_cast<std::size_t>(mine));
-    add_range(recvbuf, accp, mine);  // own partial last, as in the ring
-  }
-  waitall(sends);
 }
 
 void Comm::gatherv_bytes(const void* sendbuf, std::int64_t sendbytes,

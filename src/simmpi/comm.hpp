@@ -14,16 +14,14 @@
 // final virtual clock. Point-to-point messages carry the sender's clock so
 // dependency chains propagate through collectives automatically.
 //
-// Nonblocking ops (isend/irecv/iallreduce) return a Request handle. Data
-// transfer happens eagerly (an isend's payload is in the destination
-// mailbox before isend returns; an iallreduce's buffer is fully reduced
-// before iallreduce returns, using the exact same binomial tree as the
-// blocking allreduce, so results are bitwise-identical), but the *modeled
-// time* of the operation runs on a shadow clock. At wait() the rank's
-// clock advances to max(vtime, completion): compute performed between post
-// and wait is credited against the communication, so the clock advances by
+// Nonblocking point-to-point ops (isend/irecv) return a Request handle.
+// Data transfer happens eagerly (an isend's payload is in the destination
+// mailbox before isend returns), but the *modeled time* of the operation
+// runs on a shadow clock. At wait() the rank's clock advances to
+// max(vtime, completion): compute performed between post and wait is
+// credited against the communication, so the clock advances by
 // max(compute, comm) instead of their sum, and the hidden portion is
-// accumulated in RunStats::comm_hidden.
+// accumulated in RunStats::comm_hidden. sendrecv is built on them.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,10 +43,10 @@ class Comm;
 enum class Op { kSum, kMax, kMin };
 
 /// Handle for a nonblocking operation. Move-only; a default-constructed or
-/// already-waited Request is inactive (wait() is a no-op, test() returns
-/// true). Destroying or move-assigning over a still-active Request is a
-/// programming error and CHECK-fires: every posted op must be waited on so
-/// its modeled time is credited exactly once.
+/// already-waited Request is inactive (wait() is a no-op). Destroying or
+/// move-assigning over a still-active Request is a programming error and
+/// CHECK-fires: every posted op must be waited on so its modeled time is
+/// credited exactly once.
 class Request {
  public:
   Request() = default;
@@ -86,20 +84,15 @@ class Request {
   /// remainder is recorded as hidden. No-op on an inactive request.
   void wait();
 
-  /// Returns true iff the operation has completed (always true for posted
-  /// sends/collectives -- their transfer is eager). On completion behaves
-  /// like wait(); an inactive request returns true.
-  bool test();
-
  private:
   friend class Comm;
-  enum class Kind { kNone, kSend, kColl, kRecv };
+  enum class Kind { kNone, kSend, kRecv };
 
   Comm* comm_ = nullptr;
   Kind kind_ = Kind::kNone;
-  double completion_ = 0;   // shadow clock at op completion (kSend/kColl)
+  double completion_ = 0;   // shadow clock at op completion (kSend)
   double post_vtime_ = 0;   // rank clock when the op was posted
-  // Receive matching (kRecv): resolved at wait/test.
+  // Receive matching (kRecv): resolved at wait.
   int src_world_ = -1;
   std::int64_t tag_ = 0;
   void* data_ = nullptr;
@@ -138,7 +131,7 @@ class Comm {
   }
 
   /// Nonblocking receive: records the match; the message is consumed and
-  /// the clock aligned to its ready time at wait()/test().
+  /// the clock aligned to its ready time at wait().
   template <class T>
   Request irecv(int src, T* data, std::int64_t count, int tag = 0) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -160,11 +153,6 @@ class Comm {
     s.wait();
   }
 
-  /// Waits on each request in index order (deterministic crediting).
-  static void waitall(std::vector<Request>& reqs) {
-    for (Request& r : reqs) r.wait();
-  }
-
   // ---- collectives ----------------------------------------------------
   void barrier();
 
@@ -182,32 +170,13 @@ class Comm {
         combine_fn<T>(count, op));
   }
 
-  /// Nonblocking allreduce. The reduction itself runs eagerly at post time
-  /// over the same binomial tree as allreduce() (bitwise-identical result,
-  /// fully reduced in `data` on return), but its modeled time runs on a
-  /// shadow clock credited at wait(). All ranks of the comm must post
-  /// their iallreduces in the same order (standard MPI nonblocking-
-  /// collective rule); the deadlock watchdog catches violations.
-  template <class T>
-  Request iallreduce(T* data, std::int64_t count, Op op) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return iallreduce_bytes(
-        data, count * static_cast<std::int64_t>(sizeof(T)),
-        combine_fn<T>(count, op));
-  }
-
   /// Reduce-scatter: element-wise sum of every rank's `data` (counts.total
   /// elements), after which each rank keeps only its block as given by
   /// `counts` (rank r receives counts[r] elements into recvbuf). This is
   /// the collective TuckerMPI's TTM uses to re-block the truncated mode.
-  /// With overlap=true the ring is replaced by a direct pairwise exchange
-  /// whose partials are folded in exactly the ring's accumulation order
-  /// (bitwise-identical result, same bytes on the wire) so the p-1
-  /// message costs can hide behind each other and behind prior compute.
   template <class T>
   void reduce_scatter(const T* data, T* recvbuf,
-                      const std::vector<std::int64_t>& counts,
-                      bool overlap = false) {
+                      const std::vector<std::int64_t>& counts) {
     static_assert(std::is_trivially_copyable_v<T>);
     constexpr auto es = static_cast<std::int64_t>(sizeof(T));
     std::vector<std::int64_t> byte_counts(counts.size());
@@ -219,10 +188,7 @@ class Comm {
       const std::int64_t n = bytes / static_cast<std::int64_t>(sizeof(T));
       for (std::int64_t i = 0; i < n; ++i) a[i] += b[i];
     };
-    if (overlap)
-      reduce_scatter_overlap_bytes(data, recvbuf, byte_counts, add_range);
-    else
-      reduce_scatter_bytes(data, recvbuf, byte_counts, add_range);
+    reduce_scatter_bytes(data, recvbuf, byte_counts, add_range);
   }
 
   /// Gathers variable-sized blocks to `root`. counts has size() entries
@@ -322,14 +288,10 @@ class Comm {
                       std::int64_t bytes);
   Request irecv_bytes(int src, std::int64_t tag, void* data,
                       std::int64_t bytes);
-  Request iallreduce_bytes(
-      void* data, std::int64_t bytes,
-      const std::function<void(void*, const void*)>& combine);
-  // Consumes the matching message (blocking unless nonblocking=true, in
-  // which case returns false when no match is queued); on success stores
-  // the payload and its ready time.
-  bool match_recv(int src_world, std::int64_t tag, void* data,
-                  std::int64_t bytes, bool nonblocking, double* ready_vtime);
+  // Consumes the matching message, blocking until it is queued; stores the
+  // payload and returns its ready time.
+  double match_recv(int src_world, std::int64_t tag, void* data,
+                    std::int64_t bytes);
   // Credits a completed nonblocking op: clock -> max(vtime, completion),
   // gap charged as comm, remainder of the op's span recorded as hidden.
   void credit_completion(double post_vtime, double completion);
@@ -338,10 +300,6 @@ class Comm {
       void* data, std::int64_t bytes,
       const std::function<void(void*, const void*)>& combine);
   void reduce_scatter_bytes(
-      const void* data, void* recvbuf,
-      const std::vector<std::int64_t>& byte_counts,
-      const std::function<void(void*, const void*, std::int64_t)>& add_range);
-  void reduce_scatter_overlap_bytes(
       const void* data, void* recvbuf,
       const std::vector<std::int64_t>& byte_counts,
       const std::function<void(void*, const void*, std::int64_t)>& add_range);

@@ -19,11 +19,9 @@ struct CostModel {
   double alpha = 2e-6;
   /// Per-byte transfer cost, seconds (default 1/(10 GB/s)).
   double beta = 1e-10;
-  /// Modeled flop rate, flops/second, used only where a *deterministic*
-  /// compute estimate is needed (the mode-parallel finalize scheduler ranks
-  /// modes by modeled readiness; measured CPU time would make the schedule
-  /// nondeterministic and break bitwise reproducibility). Default ~ one
-  /// core's sustained dgemm rate; only relative magnitudes matter.
+  /// Modeled flop rate, flops/second: the gamma of flop_cost, for callers
+  /// that need a compute estimate before the work runs (serve/admission.hpp
+  /// prices requests with it). Default ~ one core's sustained dgemm rate.
   double flop_rate = 5e9;
   /// Deadlock watchdog: abort with a per-rank stuck-op report when every
   /// rank has been blocked in a receive/wait with no matching message for
@@ -52,7 +50,7 @@ struct CostModel {
 
   /// Message rounds of the butterfly TSQR reduction over p ranks: log2 of
   /// the power-of-two subset, plus the fold/unfold pair when p is not a
-  /// power of two (see dist::detail::butterfly_qr_reduce).
+  /// power of two (see dist::detail::butterfly_lq_reduce).
   static int tsqr_rounds(int p) {
     int pof2 = 1, rounds = 0;
     while (pof2 * 2 <= p) {
@@ -72,23 +70,6 @@ struct CostModel {
   static std::int64_t sketch_slice_words(std::int64_t m_loc,
                                          std::int64_t w_new) {
     return m_loc * w_new;
-  }
-
-  /// Words each rank contributes to the TTM truncation reduce-scatter over
-  /// the mode-n fiber: its full R-row partial product over its local
-  /// columns (see dist::par_ttm_truncate_into).
-  static std::int64_t ttm_partial_words(std::int64_t r,
-                                        std::int64_t local_cols) {
-    return r * local_cols;
-  }
-
-  /// Modeled cost of the runtime's ring reduce-scatter
-  /// (Comm::reduce_scatter_bytes): p-1 rounds, each moving one ~1/p block
-  /// of the buffer. This is the per-mode TTM communication credit the
-  /// scaling benches print next to the measured breakdown.
-  double reduce_scatter_cost(int p, std::int64_t total_bytes) const {
-    if (p <= 1) return 0;
-    return (p - 1) * message_cost(total_bytes / p);
   }
 };
 

@@ -43,10 +43,10 @@ struct RankState {
   std::int64_t messages_sent = 0;
   std::int64_t flops = 0;           // filled in at teardown
 
-  // While a nonblocking operation is being posted, communication ops
-  // advance *alt_clock (the op's shadow clock) instead of vtime and skip
-  // breakdown charging; the Request credits the unhidden remainder at
-  // wait time (see comm.cpp). Only the rank's own thread touches this.
+  // While an isend is being posted, its send advances *alt_clock (the
+  // op's shadow clock) instead of vtime and skips breakdown charging; the
+  // Request credits the unhidden remainder at wait time (see comm.cpp).
+  // Only the rank's own thread touches this.
   double* alt_clock = nullptr;
   // Modeled communication seconds hidden behind compute or behind other
   // in-flight operations (credited at wait; see Comm docs).

@@ -193,6 +193,49 @@ TEST_P(ButterflySizeTest, ReducesToGlobalTriangle) {
   }
 }
 
+TEST_P(ButterflySizeTest, QrOrientationReducesToGlobalR) {
+  // The QR orientation tsqr_r_factor uses: P ranks each hold the R factor
+  // of a random tall block and pass its transposed view; the butterfly
+  // must produce the R of the vertically stacked matrix, i.e. R^T R = sum
+  // of the local A^T A, identically on all ranks.
+  const int p = GetParam();
+  const index_t n = 6;
+  std::vector<Matrix<double>> locals;
+  Matrix<double> expected(n, n);
+  for (int r = 0; r < p; ++r) {
+    auto a = data::matrix_with_spectrum(
+        20, n, data::geometric_spectrum(n, 1, 1e-2),
+        2000 + static_cast<unsigned>(r));
+    blas::gemm(1.0, MatView<const double>(a.view().t()),
+               MatView<const double>(a.view()), 1.0, expected.view());
+    std::vector<double> tau;
+    la::geqrf(a.view(), tau);
+    Matrix<double> rfull(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = i; j < n; ++j) rfull(i, j) = a(i, j);
+    locals.push_back(std::move(rfull));
+  }
+  std::vector<Matrix<double>> results(static_cast<std::size_t>(p));
+  mpi::Runtime::run(p, [&](mpi::Comm& world) {
+    Matrix<double> r = locals[static_cast<std::size_t>(world.rank())];
+    dist::detail::butterfly_lq_reduce(r.view().t(), world);
+    results[static_cast<std::size_t>(world.rank())] = std::move(r);
+  });
+  for (int r = 0; r < p; ++r) {
+    const Matrix<double>& rr = results[static_cast<std::size_t>(r)];
+    Matrix<double> rtr(n, n);
+    blas::gemm(1.0, MatView<const double>(rr.view().t()),
+               MatView<const double>(rr.view()), 0.0, rtr.view());
+    EXPECT_LE(blas::max_abs_diff(MatView<const double>(rtr.view()),
+                                 MatView<const double>(expected.view())),
+              1e-10)
+        << "P=" << p << " rank " << r;
+    // Bitwise identical across ranks.
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) EXPECT_EQ(rr(i, j), results[0](i, j));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, ButterflySizeTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 16));
 

@@ -1,12 +1,16 @@
 // Integration tests for parallel ST-HOSVD: agreement with the sequential
-// algorithm across grids, orderings, methods and precisions, plus the
-// accounting the benchmark harness relies on.
+// algorithm across grids, orderings, methods and precisions, bitwise
+// invariance across thread widths, plus the accounting the benchmark
+// harness relies on.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/par_sthosvd.hpp"
 #include "core/sthosvd.hpp"
 #include "data/synthetic_tensor.hpp"
@@ -245,6 +249,109 @@ TEST(ParSthosvdSingleTest, SinglePrecisionRunsAndCompresses) {
     }
   });
 }
+
+// ------------------------------------------------ bitwise across widths
+
+struct WidthCase {
+  SvdMethod method;
+  Dims grid;
+  bool single;
+};
+
+// Everything a run produces that the bitwise contract covers, as bytes,
+// plus the simulated traffic.
+struct WidthCapture {
+  std::vector<std::vector<unsigned char>> factors;
+  std::vector<std::vector<unsigned char>> sigmas;
+  std::vector<unsigned char> core;
+  std::int64_t bytes = 0;
+  std::int64_t messages = 0;
+};
+
+template <class T>
+std::vector<unsigned char> bytes_of(const T* data, std::size_t n) {
+  std::vector<unsigned char> out(n * sizeof(T));
+  if (n > 0) std::memcpy(out.data(), data, out.size());
+  return out;
+}
+
+template <class T>
+WidthCapture run_at_width(const Tensor<double>& full, const Dims& grid,
+                          SvdMethod method, int width) {
+  parallel::set_max_threads(width);
+  const auto x = data::round_tensor_to<T>(full);
+  WidthCapture cap;
+  const auto stats = mpi::Runtime::run(
+      ProcessorGrid(grid).total(), [&](mpi::Comm& world) {
+        DistTensor<T> dt(world, ProcessorGrid(grid), x.dims());
+        dt.fill_from(x);
+        auto res = core::par_sthosvd(dt, TruncationSpec::tolerance(1e-3),
+                                     method);
+        auto tk = res.gather_to_root();
+        if (world.rank() != 0) return;
+        for (const auto& f : res.factors)
+          cap.factors.push_back(
+              bytes_of(f.data(), static_cast<std::size_t>(f.rows() * f.cols())));
+        for (const auto& sig : res.mode_sigmas)
+          cap.sigmas.push_back(bytes_of(sig.data(), sig.size()));
+        cap.core = bytes_of(tk.core.data(),
+                            static_cast<std::size_t>(tk.core.size()));
+      });
+  cap.bytes = stats.total_bytes();
+  cap.messages = stats.total_messages();
+  return cap;
+}
+
+class ParSthosvdWidthTest : public ::testing::TestWithParam<WidthCase> {
+ protected:
+  void SetUp() override { initial_ = parallel::max_threads(); }
+  void TearDown() override { parallel::set_max_threads(initial_); }
+  int initial_ = 0;
+};
+
+TEST_P(ParSthosvdWidthTest, BitwiseAcrossWidths) {
+  // Rank threads cap their kernel threads under the pool width; the width
+  // must move no bit of the factors, sigmas or core, and no message.
+  const auto& [method, grid, single] = GetParam();
+  const auto full = test_tensor(61);
+  auto run = [&](int width) {
+    return single ? run_at_width<float>(full, grid, method, width)
+                  : run_at_width<double>(full, grid, method, width);
+  };
+  const WidthCapture base = run(2);
+  ASSERT_EQ(base.factors.size(), 4u);
+  for (int width : {1, 7}) {
+    const WidthCapture other = run(width);
+    const std::string what = "width " + std::to_string(width);
+    ASSERT_EQ(other.factors.size(), base.factors.size()) << what;
+    for (std::size_t n = 0; n < base.factors.size(); ++n) {
+      EXPECT_TRUE(other.factors[n] == base.factors[n])
+          << what << ": factor " << n << " differs";
+      EXPECT_TRUE(other.sigmas[n] == base.sigmas[n])
+          << what << ": sigmas of mode " << n << " differ";
+    }
+    EXPECT_TRUE(other.core == base.core) << what << ": core differs";
+    EXPECT_EQ(other.bytes, base.bytes) << what;
+    EXPECT_EQ(other.messages, base.messages) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ParSthosvdWidthTest,
+    ::testing::Values(WidthCase{SvdMethod::kQr, {1, 1, 1, 1}, false},
+                      WidthCase{SvdMethod::kQr, {2, 2, 1, 1}, false},
+                      WidthCase{SvdMethod::kGram, {2, 2, 1, 1}, false},
+                      WidthCase{SvdMethod::kGram, {1, 3, 1, 2}, false},
+                      WidthCase{SvdMethod::kRand, {1, 1, 1, 1}, false},
+                      WidthCase{SvdMethod::kRand, {2, 2, 1, 1}, false},
+                      WidthCase{SvdMethod::kRand, {1, 3, 1, 2}, false},
+                      WidthCase{SvdMethod::kQr, {1, 1, 1, 1}, true},
+                      WidthCase{SvdMethod::kQr, {2, 2, 1, 1}, true},
+                      WidthCase{SvdMethod::kGram, {2, 2, 1, 1}, true},
+                      WidthCase{SvdMethod::kGram, {1, 3, 1, 2}, true},
+                      WidthCase{SvdMethod::kRand, {1, 1, 1, 1}, true},
+                      WidthCase{SvdMethod::kRand, {2, 2, 1, 1}, true},
+                      WidthCase{SvdMethod::kRand, {1, 3, 1, 2}, true}));
 
 }  // namespace
 }  // namespace tucker

@@ -1,13 +1,10 @@
 // Tests for the nonblocking simmpi layer: Request lifecycle rules,
 // overlap virtual-clock crediting (max(compute, comm) instead of the
-// sum), injection serialization of posted sends, bitwise equivalence of
-// the nonblocking/overlapped collectives with their blocking twins, and
-// the deadlock watchdog.
+// sum), injection serialization of posted sends, sendrecv on top of
+// isend/irecv, and the deadlock watchdog.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "simmpi/runtime.hpp"
@@ -34,25 +31,7 @@ TEST(SimMpiNonblocking, IsendIrecvDeliversPayload) {
   });
 }
 
-TEST(SimMpiNonblocking, TestPollsUntilMessageArrives) {
-  Runtime::run(2, [](Comm& c) {
-    if (c.rank() == 0) {
-      int x = 42;
-      Request s = c.isend(1, &x, 1);
-      s.wait();
-    } else {
-      int x = 0;
-      Request r = c.irecv(0, &x, 1);
-      while (!r.test()) {
-      }
-      EXPECT_FALSE(r.active());  // a successful test() completes the op
-      EXPECT_EQ(x, 42);
-      r.wait();  // waiting a completed request is a no-op
-    }
-  });
-}
-
-TEST(SimMpiNonblocking, WaitallCompletesOutOfPostOrder) {
+TEST(SimMpiNonblocking, ReceivesCompleteOutOfPostOrder) {
   Runtime::run(2, [](Comm& c) {
     if (c.rank() == 0) {
       int a = 11, b = 22, d = 33;
@@ -60,7 +39,7 @@ TEST(SimMpiNonblocking, WaitallCompletesOutOfPostOrder) {
       reqs.push_back(c.isend(1, &a, 1, 1));
       reqs.push_back(c.isend(1, &b, 1, 2));
       reqs.push_back(c.isend(1, &d, 1, 3));
-      Comm::waitall(reqs);
+      for (Request& r : reqs) r.wait();
     } else {
       int a = 0, b = 0, d = 0;
       // Post receives in one order, complete them in another.
@@ -154,7 +133,7 @@ TEST(SimMpiOverlapClock, PostedSendsSerializeThroughInjection) {
           std::vector<Request> reqs;
           reqs.push_back(c.isend(1, &a, 1, 1));
           reqs.push_back(c.isend(1, &b, 1, 2));
-          Comm::waitall(reqs);
+          for (Request& r : reqs) r.wait();
         } else {
           int a = 0, b = 0;
           c.recv(0, &a, 1, 1);
@@ -202,102 +181,7 @@ TEST(SimMpiOverlapClock, ImmediateWaitMatchesBlockingCharge) {
   EXPECT_NEAR(posted.ranks[0].comm_hidden, 0.0, kTol);
 }
 
-// --------------------------------------- bitwise-equivalent collectives
-
-TEST(SimMpiNonblockingColl, IallreduceBitwiseMatchesAllreduce) {
-  const int p = 7;  // non-power-of-two tree
-  const std::int64_t n = 33;
-  auto fill = [&](int rank, std::vector<double>& v) {
-    v.resize(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i)
-      v[static_cast<std::size_t>(i)] =
-          std::sin(0.7 * static_cast<double>(i + 1) * (rank + 1)) / 3.0;
-  };
-  std::vector<std::vector<double>> blocking(p), posted(p), piecewise(p);
-  Runtime::run(p, [&](Comm& c) {
-    fill(c.rank(), blocking[static_cast<std::size_t>(c.rank())]);
-    c.allreduce(blocking[static_cast<std::size_t>(c.rank())].data(), n,
-                Op::kSum);
-  });
-  Runtime::run(p, [&](Comm& c) {
-    auto& v = posted[static_cast<std::size_t>(c.rank())];
-    fill(c.rank(), v);
-    Request r = c.iallreduce(v.data(), n, Op::kSum);
-    r.wait();
-  });
-  Runtime::run(p, [&](Comm& c) {
-    auto& v = piecewise[static_cast<std::size_t>(c.rank())];
-    fill(c.rank(), v);
-    // Uneven 3-piece split: the reduction tree is per-element, so any
-    // chunking must land bitwise on the whole-buffer result.
-    std::vector<Request> reqs;
-    reqs.push_back(c.iallreduce(v.data(), 5, Op::kSum));
-    reqs.push_back(c.iallreduce(v.data() + 5, 17, Op::kSum));
-    reqs.push_back(c.iallreduce(v.data() + 22, n - 22, Op::kSum));
-    Comm::waitall(reqs);
-  });
-  for (int r = 0; r < p; ++r) {
-    const auto s = static_cast<std::size_t>(r);
-    EXPECT_EQ(std::memcmp(blocking[s].data(), posted[s].data(),
-                          sizeof(double) * static_cast<std::size_t>(n)),
-              0)
-        << "iallreduce differs on rank " << r;
-    EXPECT_EQ(std::memcmp(blocking[s].data(), piecewise[s].data(),
-                          sizeof(double) * static_cast<std::size_t>(n)),
-              0)
-        << "piecewise iallreduce differs on rank " << r;
-  }
-}
-
-TEST(SimMpiNonblockingColl, IallreduceReducesEagerly) {
-  // Documented semantics: the reduction runs at post time; only the
-  // modeled clock is deferred to wait().
-  Runtime::run(4, [](Comm& c) {
-    double x = static_cast<double>(c.rank() + 1);
-    Request r = c.iallreduce(&x, 1, Op::kSum);
-    EXPECT_EQ(x, 10.0);  // fully reduced before wait
-    r.wait();
-    EXPECT_EQ(x, 10.0);
-  });
-}
-
-TEST(SimMpiNonblockingColl, ReduceScatterOverlapBitwiseAndSameTraffic) {
-  const int p = 7;
-  const std::vector<std::int64_t> counts = {3, 1, 4, 2, 2, 1, 3};
-  std::int64_t total = 0;
-  for (auto ccount : counts) total += ccount;
-  auto fill = [&](int rank, std::vector<double>& v) {
-    v.resize(static_cast<std::size_t>(total));
-    for (std::int64_t i = 0; i < total; ++i)
-      v[static_cast<std::size_t>(i)] =
-          std::cos(0.3 * static_cast<double>(i + 2) * (rank + 3)) / 7.0;
-  };
-  std::vector<std::vector<double>> ring(p), direct(p);
-  auto run = [&](bool overlap, std::vector<std::vector<double>>& out) {
-    return Runtime::run(p, [&](Comm& c) {
-      std::vector<double> v;
-      fill(c.rank(), v);
-      auto& mine = out[static_cast<std::size_t>(c.rank())];
-      mine.resize(
-          static_cast<std::size_t>(counts[static_cast<std::size_t>(c.rank())]));
-      c.reduce_scatter(v.data(), mine.data(), counts, overlap);
-    });
-  };
-  auto ring_stats = run(false, ring);
-  auto direct_stats = run(true, direct);
-  for (int r = 0; r < p; ++r) {
-    const auto s = static_cast<std::size_t>(r);
-    ASSERT_EQ(ring[s].size(), direct[s].size());
-    EXPECT_EQ(std::memcmp(ring[s].data(), direct[s].data(),
-                          sizeof(double) * ring[s].size()),
-              0)
-        << "overlap reduce_scatter differs on rank " << r;
-  }
-  // Same wire traffic: the direct exchange only reorders who talks to
-  // whom, it does not change bytes or message counts.
-  EXPECT_EQ(ring_stats.total_bytes(), direct_stats.total_bytes());
-  EXPECT_EQ(ring_stats.total_messages(), direct_stats.total_messages());
-}
+// ------------------------------------------------------------ sendrecv
 
 TEST(SimMpiNonblockingColl, SendrecvStillExchangesAcrossGridPattern) {
   // The butterfly exchange pattern TSQR uses, on the rewritten sendrecv.
